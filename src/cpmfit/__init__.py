@@ -59,6 +59,7 @@ from .predict import (
     aggregate_reports,
     classify,
     fit_beta_polynomials,
+    fit_each_line,
     fit_map,
     holdout_predict,
     loo_crossval,

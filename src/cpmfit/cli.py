@@ -26,19 +26,19 @@ from .dataio import (
     normalize_map,
     parse_map_csv,
 )
-from .errors import CpmFitError, FitFailureError, InvalidPredictionError, ParseError
+from .errors import CpmFitError, InvalidPredictionError, ParseError
 from .metrics import EvalMode, MetricKind, _clamped_prediction, evaluate_prediction
 from .model import sample_curve
-from .optimize import FitConfig, InitStrategy, LocalSolver, fit_speedline
+from .optimize import FitConfig, InitStrategy, LocalSolver
 from .predict import (
     BETA_FIELDS,
     PredictionConfig,
-    _line_seed,
-    aggregate_reports,
+    find_speedline,
     fit_beta_polynomials,
-    fit_map,
+    fit_each_line,
+    fit_table,
     holdout_predict,
-    loo_crossval,
+    loo_from_fits,
     predict_beta,
 )
 
@@ -150,6 +150,10 @@ def _load_map(path: str, normalize: bool):
     return cpm, scale
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -162,20 +166,22 @@ def _csv_text(header, rows) -> str:
 # Subcommands
 
 
+def _write_artifacts(out: str, artifacts: dict) -> None:
+    """Write every {file name: text} artifact; called only once all are computed."""
+    for name, text in artifacts.items():
+        write_text_atomic(os.path.join(out, name), text)
+
+
 def cmd_fit(args) -> int:
     fit_cfg, _, extras = build_configs(args)
     cpm, _ = _load_map(args.input, extras["normalize"])
+    fits = fit_each_line(cpm.speedlines, fit_cfg)
     rows = []
     beta_rows = []
     predicted = []
-    failures = 0
-    for i, line in enumerate(cpm.speedlines):
-        cfg = replace(fit_cfg, seed=_line_seed(fit_cfg.seed, line.speed))
-        try:
-            result = fit_speedline(line, cfg)
-        except CpmFitError as exc:
-            failures += 1
-            rows.append([i, _fmt(line.speed), "", "", "", "FAILED", str(exc)])
+    for i, (line, result) in enumerate(zip(cpm.speedlines, fits)):
+        if isinstance(result, CpmFitError):
+            rows.append([i, _fmt(line.speed), "", "", "", "FAILED", str(result)])
             continue
         flags = []
         if result.used_fallback:
@@ -187,13 +193,13 @@ def cmd_fit(args) -> int:
         beta_rows.append([_fmt(line.speed)] +
                          [_fmt(v) for v in result.beta.as_array()])
         predicted.append((line.speed, result.beta))
-    write_text_atomic(os.path.join(args.out, "fit_results.csv"), _csv_text(
-        ["index", "speed", "objective", "metric", "seed", "status", "flags"], rows))
-    write_text_atomic(os.path.join(args.out, "beta_table.csv"), _csv_text(
-        ["speed", *BETA_FIELDS], beta_rows))
-    write_text_atomic(os.path.join(args.out, "curves.svg"),
-                      export_curve_svg(cpm.speedlines, predicted))
-    return EXIT_PARTIAL if failures else EXIT_OK
+    _write_artifacts(args.out, {
+        "fit_results.csv": _csv_text(
+            ["index", "speed", "objective", "metric", "seed", "status", "flags"], rows),
+        "beta_table.csv": _csv_text(["speed", *BETA_FIELDS], beta_rows),
+        "curves.svg": export_curve_svg(cpm.speedlines, predicted),
+    })
+    return EXIT_PARTIAL if any(isinstance(f, CpmFitError) for f in fits) else EXIT_OK
 
 
 def cmd_crossval(args) -> int:
@@ -202,12 +208,9 @@ def cmd_crossval(args) -> int:
     if len(cpm.speedlines) < 3:
         print("error: leave-one-out needs >= 3 speedlines", file=sys.stderr)
         return EXIT_ERROR
-    reports, summaries = loo_crossval(cpm, fit_cfg, pred_cfg)
-
-    write_text_atomic(os.path.join(args.out, "report.csv"),
-                      export_report(reports, "csv", pred_cfg.eval_mode))
-    write_text_atomic(os.path.join(args.out, "report.json"),
-                      export_report(reports, "json", pred_cfg.eval_mode))
+    # One fit per line, shared by every hold-out and by the beta evolution.
+    fits = fit_each_line(cpm.speedlines, fit_cfg)
+    reports, summaries = loo_from_fits(cpm, fits, pred_cfg)
 
     sum_rows = []
     for s in summaries:
@@ -215,27 +218,35 @@ def cmd_crossval(args) -> int:
             st = s.stats[metric]
             sum_rows.append([s.kind.value.upper(), metric.value, s.n_total, s.n_failed,
                              _fmt(st["mean"]), _fmt(st["sd"]), _fmt(st["median"])])
-    write_text_atomic(os.path.join(args.out, "summary.csv"), _csv_text(
-        ["kind", "metric", "n_total", "n_failed", "mean", "sd", "median"], sum_rows))
 
-    # Beta evolution: fitted nodes plus the regression sampled at 100 speeds.
-    table = fit_map(cpm, fit_cfg)
-    model = fit_beta_polynomials(table, pred_cfg)
-    node_rows = [[_fmt(s)] + [_fmt(v) for v in b.as_array()]
-                 for s, b, _ in table.entries]
-    write_text_atomic(os.path.join(args.out, "beta_nodes.csv"), _csv_text(
-        ["speed", *BETA_FIELDS], node_rows))
-    speeds = np.linspace(table.speeds().min(), table.speeds().max(), 100)
-    raw = model.evaluate_raw(speeds)
-    poly_rows = [[_fmt(float(speeds[i]))] + [_fmt(float(raw[j, i])) for j in range(5)]
-                 for i in range(speeds.size)]
-    write_text_atomic(os.path.join(args.out, "beta_poly.csv"), _csv_text(
-        ["speed", *BETA_FIELDS], poly_rows))
+    # Beta evolution: fitted nodes (empty cells for a failed line) plus the
+    # regression over the fitted lines sampled at 100 speeds.
+    node_rows = []
+    for line, fit in zip(cpm.speedlines, fits):
+        cells = ([""] * len(BETA_FIELDS) if isinstance(fit, CpmFitError)
+                 else [_fmt(v) for v in fit.beta.as_array()])
+        node_rows.append([_fmt(line.speed), *cells])
+    table = fit_table((line, fit) for line, fit in zip(cpm.speedlines, fits)
+                      if not isinstance(fit, CpmFitError))
+    poly_rows = []
+    if len(table) >= 2:
+        model = fit_beta_polynomials(table, pred_cfg)
+        speeds = np.linspace(table.speeds().min(), table.speeds().max(), 100)
+        raw = model.evaluate_raw(speeds)
+        poly_rows = [[_fmt(float(speeds[i]))] + [_fmt(float(raw[j, i])) for j in range(5)]
+                     for i in range(speeds.size)]
 
     predicted = [(r.target_speed, r.predicted_beta)
                  for r in reports if r.status == "ok"]
-    write_text_atomic(os.path.join(args.out, "curves.svg"),
-                      export_curve_svg(cpm.speedlines, predicted))
+    _write_artifacts(args.out, {
+        "report.csv": export_report(reports, "csv", pred_cfg.eval_mode),
+        "report.json": export_report(reports, "json", pred_cfg.eval_mode),
+        "summary.csv": _csv_text(
+            ["kind", "metric", "n_total", "n_failed", "mean", "sd", "median"], sum_rows),
+        "beta_nodes.csv": _csv_text(["speed", *BETA_FIELDS], node_rows),
+        "beta_poly.csv": _csv_text(["speed", *BETA_FIELDS], poly_rows),
+        "curves.svg": export_curve_svg(cpm.speedlines, predicted),
+    })
     if any(r.status != "ok" for r in reports):
         return EXIT_PARTIAL
     return EXIT_OK
@@ -245,30 +256,35 @@ def cmd_predict(args) -> int:
     fit_cfg, pred_cfg, extras = build_configs(args)
     cpm, _ = _load_map(args.input, extras["normalize"])
     target = args.target
-    holdout = any(sl.speed == target for sl in cpm.speedlines)
 
-    if holdout:
+    if find_speedline(cpm, target) is not None:
         report = holdout_predict(cpm, target, fit_cfg, pred_cfg)
-        write_text_atomic(os.path.join(args.out, "report.csv"),
-                          export_report([report], "csv", pred_cfg.eval_mode))
-        write_text_atomic(os.path.join(args.out, "report.json"),
-                          export_report([report], "json", pred_cfg.eval_mode))
+        artifacts = {
+            "report.csv": export_report([report], "csv", pred_cfg.eval_mode),
+            "report.json": export_report([report], "json", pred_cfg.eval_mode),
+        }
         if report.status == "ok":
-            write_text_atomic(os.path.join(args.out, "curves.svg"), export_curve_svg(
-                cpm.speedlines, [(target, report.predicted_beta)]))
-            return EXIT_OK
-        return EXIT_PARTIAL
+            artifacts["curves.svg"] = export_curve_svg(
+                cpm.speedlines, [(report.target_speed, report.predicted_beta)])
+        _write_artifacts(args.out, artifacts)
+        return EXIT_OK if report.status == "ok" else EXIT_PARTIAL
 
     # Pure prediction: no held-out measurements, hence no metrics.
-    table = fit_map(cpm, fit_cfg)
-    model = fit_beta_polynomials(table, pred_cfg)
+    fits = fit_each_line(cpm.speedlines, fit_cfg)
+    failed = {"target_speed": target, "status": "FAILED", "no_ground_truth": True}
+    fit_failures = [{"speed": line.speed, "reason": str(fit)}
+                    for line, fit in zip(cpm.speedlines, fits)
+                    if isinstance(fit, CpmFitError)]
+    if fit_failures:
+        _write_artifacts(args.out, {"prediction.json": _json_text(
+            dict(failed, fit_failures=fit_failures))})
+        return EXIT_PARTIAL
+    model = fit_beta_polynomials(fit_table(zip(cpm.speedlines, fits)), pred_cfg)
     try:
         beta, repair = predict_beta(model, target, pred_cfg)
     except InvalidPredictionError as exc:
-        payload = {"target_speed": target, "status": "FAILED",
-                   "no_ground_truth": True, "raw_values": list(exc.raw_values or [])}
-        write_text_atomic(os.path.join(args.out, "prediction.json"),
-                          json.dumps(payload, indent=2) + "\n")
+        _write_artifacts(args.out, {"prediction.json": _json_text(
+            dict(failed, raw_values=list(exc.raw_values or [])))})
         return EXIT_PARTIAL
     payload = {
         "target_speed": target,
@@ -279,13 +295,13 @@ def cmd_predict(args) -> int:
                   "nonneg_clamped": repair.nonneg_clamped,
                   "degree_reduced": repair.degree_reduced},
     }
-    write_text_atomic(os.path.join(args.out, "prediction.json"),
-                      json.dumps(payload, indent=2) + "\n")
     pts = sample_curve(beta, 200)
-    write_text_atomic(os.path.join(args.out, "prediction_curve.csv"), _csv_text(
-        ["m_dot", "pi"], [[_fmt(p.m_dot), _fmt(p.pi)] for p in pts]))
-    write_text_atomic(os.path.join(args.out, "curves.svg"),
-                      export_curve_svg(cpm.speedlines, [(target, beta)]))
+    _write_artifacts(args.out, {
+        "prediction.json": _json_text(payload),
+        "prediction_curve.csv": _csv_text(
+            ["m_dot", "pi"], [[_fmt(p.m_dot), _fmt(p.pi)] for p in pts]),
+        "curves.svg": export_curve_svg(cpm.speedlines, [(target, beta)]),
+    })
     return EXIT_OK
 
 
@@ -295,18 +311,21 @@ def cmd_bench(args) -> int:
     repeats = extras["repeats"]
     rows = []
     summary = []
+    failures = 0
+    bases = [fit_cfg.seed + 7919 * r for r in range(repeats)]
     for strategy in (InitStrategy.NONE, InitStrategy.PSO, InitStrategy.DE):
+        # runs[r][i]: repeat r of line i, seeded from the repeat's base seed.
+        runs = [fit_each_line(cpm.speedlines, replace(fit_cfg, init_strategy=strategy, seed=b))
+                for b in bases]
         per_line_obj = {}
         finals = {"rmse": [], "max_err": [], "ortho": []}
-        for line in cpm.speedlines:
+        for i, line in enumerate(cpm.speedlines):
             objs = []
             for r in range(repeats):
-                seed = _line_seed(fit_cfg.seed + 7919 * r, line.speed)
-                cfg = replace(fit_cfg, init_strategy=strategy, seed=seed)
-                try:
-                    result = fit_speedline(line, cfg)
-                except CpmFitError:
-                    rows.append([strategy.value, _fmt(line.speed), r, seed,
+                result = runs[r][i]
+                if isinstance(result, CpmFitError):
+                    failures += 1
+                    rows.append([strategy.value, _fmt(line.speed), r, result.seed,
                                  "", "", "", "FAILED"])
                     continue
                 pm = evaluate_prediction(result.beta, line.points, fit_cfg.mode)
@@ -315,7 +334,7 @@ def cmd_bench(args) -> int:
                 ortho = pm[MetricKind.ORTHO].mean
                 t_arr, p_arr, _ = _clamped_prediction(result.beta, m, pi, fit_cfg.mode)
                 max_err = float(np.max(np.abs(t_arr - p_arr)))
-                rows.append([strategy.value, _fmt(line.speed), r, seed,
+                rows.append([strategy.value, _fmt(line.speed), r, result.seed,
                              _fmt(rm), _fmt(max_err), _fmt(ortho), "OK"])
                 finals["rmse"].append(rm)
                 finals["max_err"].append(max_err)
@@ -332,13 +351,15 @@ def cmd_bench(args) -> int:
                             _fmt(float(np.median(arr))), _fmt(float(np.mean(arr))),
                             _fmt(float(np.max(arr))), obj_sd,
                             "" if repeats > 1 else "sd_undefined"])
-    write_text_atomic(os.path.join(args.out, "bench.csv"), _csv_text(
-        ["strategy", "speed", "repeat", "seed", "rmse", "max_err", "ortho", "status"],
-        rows))
-    write_text_atomic(os.path.join(args.out, "bench_summary.csv"), _csv_text(
-        ["strategy", "quantity", "n", "median", "mean", "max", "objective_sd", "flags"],
-        summary))
-    return EXIT_OK
+    _write_artifacts(args.out, {
+        "bench.csv": _csv_text(
+            ["strategy", "speed", "repeat", "seed", "rmse", "max_err", "ortho", "status"],
+            rows),
+        "bench_summary.csv": _csv_text(
+            ["strategy", "quantity", "n", "median", "mean", "max", "objective_sd", "flags"],
+            summary),
+    })
+    return EXIT_PARTIAL if failures else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,18 @@ import numpy as np
 
 from .errors import CpmFitError, DegenerateInputError, ParseError
 from .metrics import EvalMode, MetricKind
-from .model import BetaVector, CompressorMap, OperatingPoint, Speedline, sample_curve
+from .model import (
+    SPEED_TOLERANCE,
+    BetaVector,
+    CompressorMap,
+    OperatingPoint,
+    Speedline,
+    same_speed,
+    sample_curve,
+)
 from .predict import PredictionReport
 
 CSV_HEADER = ("speed", "m_dot", "pi")
-
-SPEED_TOLERANCE = 1e-6  # relative
 
 
 @dataclass(frozen=True)
@@ -90,8 +96,7 @@ def group_speedlines(records, speed_tolerance: float = SPEED_TOLERANCE,
     groups: list[list[RawRecord]] = []
     for rec in ordered:
         if groups:
-            ref = groups[-1][0].speed
-            if abs(rec.speed - ref) <= speed_tolerance * max(1.0, abs(ref)):
+            if same_speed(rec.speed, groups[-1][0].speed, speed_tolerance):
                 groups[-1].append(rec)
                 continue
         groups.append([rec])

@@ -2,7 +2,13 @@
 
 
 class CpmFitError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    ``seed`` is the per-line seed of the fit that raised the error, when
+    predict.fit_each_line captured it; None otherwise.
+    """
+
+    seed = None
 
 
 class DomainError(CpmFitError):

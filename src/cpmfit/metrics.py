@@ -234,18 +234,10 @@ def _clamped_prediction(beta: BetaVector, m: np.ndarray, pi: np.ndarray,
     return m, pred, out
 
 
-def evaluate_prediction(beta: BetaVector, measured, mode: EvalMode = EvalMode.PRESSURE) -> PredictionMetrics:
-    """RMSE / MAPE / residual-SD / ortho summaries of beta against measured points.
-
-    Out-of-domain measurements are clamped to the nearest curve endpoint and
-    counted; non-finite intermediate values never raise, they set
-    has_nonfinite on the affected summary.
-    """
-    m, pi = _points_arrays(measured)
-    if m.size == 0:
-        raise MetricError("evaluate_prediction with no measured points")
-    truth, pred, out_of_domain = _clamped_prediction(beta, m, pi, mode)
-
+def _pointwise_summaries(truth: np.ndarray, pred: np.ndarray) -> dict:
+    """RMSE / MAPE / residual-SD summaries over the pairs where both are finite."""
+    if truth.size == 0:
+        raise MetricError("no measured points to evaluate")
     finite = np.isfinite(truth) & np.isfinite(pred)
     nf = not bool(np.all(finite))
     t, p = truth[finite], pred[finite]
@@ -273,6 +265,20 @@ def evaluate_prediction(beta: BetaVector, measured, mode: EvalMode = EvalMode.PR
     else:
         for kind in (MetricKind.RMSE, MetricKind.MAPE, MetricKind.RESIDUAL_SD):
             summaries[kind] = ErrorSummary(math.nan, math.nan, 0, n_bad, True)
+    return summaries
+
+
+def evaluate_prediction(beta: BetaVector, measured, mode: EvalMode = EvalMode.PRESSURE) -> PredictionMetrics:
+    """RMSE / MAPE / residual-SD / ortho summaries of beta against measured points.
+
+    Out-of-domain measurements are clamped to the nearest curve endpoint and
+    counted; non-finite intermediate values never raise, they set
+    has_nonfinite on the affected summary.
+    """
+    m, pi = _points_arrays(measured)
+    truth, pred, out_of_domain = _clamped_prediction(beta, m, pi, mode)
+    summaries = _pointwise_summaries(truth, pred)
+    nf = summaries[MetricKind.RMSE].has_nonfinite  # some (truth, pred) pair is not finite
 
     d2 = _ortho_d2(beta, m[np.isfinite(m) & np.isfinite(pi)], pi[np.isfinite(m) & np.isfinite(pi)])
     if d2.size:

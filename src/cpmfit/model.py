@@ -19,6 +19,14 @@ CUR_MIN = 1.05
 # Relative tolerance (w.r.t. the parameter span) for domain checks.
 DOMAIN_RTOL = 1e-12
 
+# Relative tolerance within which two speeds belong to one speedline.
+SPEED_TOLERANCE = 1e-6
+
+
+def same_speed(speed: float, ref: float, tol: float = SPEED_TOLERANCE) -> bool:
+    """True when speed lies within the relative tolerance tol of the reference speed."""
+    return abs(speed - ref) <= tol * max(1.0, abs(ref))
+
 
 def _require_finite(name: str, *values: float) -> None:
     for v in values:

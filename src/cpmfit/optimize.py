@@ -17,10 +17,11 @@ from .errors import DegenerateInputError, FitFailureError
 from .metrics import (
     EvalMode,
     MetricKind,
+    _clamped_prediction,
     _ortho_d2,
     _ortho_d2_batch,
     _points_arrays,
-    evaluate_prediction,
+    _pointwise_summaries,
 )
 from .model import CUR_MIN, BetaVector, Speedline
 
@@ -154,8 +155,8 @@ def objective(beta, points, metric: MetricKind = MetricKind.ORTHO,
     if metric is MetricKind.ORTHO:
         val = float(np.sum(_ortho_d2(bv, m, pi)))
     else:
-        summary = evaluate_prediction(bv, (m, pi), mode)[metric]
-        val = summary.mean
+        # Only the pointwise summaries: the orthogonal projection is the costly part.
+        val = _pointwise_summaries(*_clamped_prediction(bv, m, pi, mode)[:2])[metric].mean
     if not math.isfinite(val):
         return PENALTY
     return val

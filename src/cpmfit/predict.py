@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CpmFitError, FitFailureError, InvalidPredictionError, MetricError
+from .errors import CpmFitError, InvalidPredictionError, MetricError
 from .metrics import ErrorSummary, EvalMode, MetricKind, evaluate_prediction
-from .model import BetaVector, CompressorMap, Speedline
+from .model import BetaVector, CompressorMap, Speedline, same_speed
 from .optimize import FitConfig, FitResult, fit_speedline
 
 BETA_FIELDS = ("m_zs", "pi_zs", "m_ch", "pi_ch", "cur")
@@ -182,48 +182,60 @@ def _line_seed(base_seed: int, speed: float) -> int:
     return h & 0x7FFFFFFF
 
 
-def fit_map(cpm: CompressorMap, fit_cfg: FitConfig) -> BetaTable:
-    """Fit every speedline of the map into a BetaTable (per-line derived seeds)."""
-    entries = []
-    for line in cpm.speedlines:
+def fit_each_line(lines, fit_cfg: FitConfig) -> list[FitResult | CpmFitError]:
+    """Fit every speedline once, in order, each with its per-line derived seed.
+
+    A line whose fit raises a CpmFitError gets that error in its slot, with
+    the seed it was fitted with in ``seed`` as on a FitResult, and the
+    remaining lines are still fitted.  A line's fit depends only on the
+    line and its seed, so every hold-out of a map can share one such list.
+    """
+    fits = []
+    for line in lines:
         cfg = replace(fit_cfg, seed=_line_seed(fit_cfg.seed, line.speed))
-        result = fit_speedline(line, cfg)
-        entries.append((line.speed, result.beta, result))
+        try:
+            fits.append(fit_speedline(line, cfg))
+        except CpmFitError as exc:
+            exc.seed = cfg.seed
+            fits.append(exc)
+    return fits
+
+
+def fit_table(pairs) -> BetaTable:
+    """BetaTable of (Speedline, fit) pairs; raises the first captured fit error."""
+    entries = []
+    for line, fit in pairs:
+        if isinstance(fit, CpmFitError):
+            raise fit
+        entries.append((line.speed, fit.beta, fit))
     return BetaTable(tuple(entries))
 
 
-def holdout_predict(cpm: CompressorMap, target_speed: float,
-                    fit_cfg: FitConfig | None = None,
-                    pred_cfg: PredictionConfig | None = None) -> PredictionReport:
-    """Remove the target line, fit the rest, regress beta and evaluate the prediction.
+def find_speedline(cpm: CompressorMap, speed: float) -> int | None:
+    """Index of the speedline whose speed matches within SPEED_TOLERANCE, else None."""
+    return next((i for i, sl in enumerate(cpm.speedlines) if same_speed(speed, sl.speed)),
+                None)
 
-    Fit failures and invalid predictions are captured in the report as
-    failed status; the cross-validation harness keeps going.
+
+def fit_map(cpm: CompressorMap, fit_cfg: FitConfig) -> BetaTable:
+    """Fit every speedline of the map into a BetaTable (per-line derived seeds)."""
+    return fit_table(zip(cpm.speedlines, fit_each_line(cpm.speedlines, fit_cfg)))
+
+
+def _holdout_report(target: Speedline, rest, pred_cfg: PredictionConfig) -> PredictionReport:
+    """Regress beta over the (Speedline, fit) pairs of rest and evaluate it on target.
+
+    Fit failures among rest and invalid predictions give a failed report.
     """
-    fit_cfg = fit_cfg or FitConfig()
-    pred_cfg = pred_cfg or PredictionConfig()
-    target = next((sl for sl in cpm.speedlines if sl.speed == target_speed), None)
-    if target is None:
-        raise ValueError(f"map has no speedline at speed {target_speed}")
-    remaining = [sl for sl in cpm.speedlines if sl.speed != target_speed]
-    if len(remaining) < 2:
-        raise ValueError("hold-out prediction needs >= 2 remaining speedlines")
-    kind = classify(target_speed, [sl.speed for sl in remaining])
-
-    underdetermined = 0
+    kind = classify(target.speed, [sl.speed for sl, _ in rest])
+    underdetermined = sum(int(fit.underdetermined) for _, fit in rest
+                          if isinstance(fit, FitResult))
     try:
-        entries = []
-        for line in remaining:
-            cfg = replace(fit_cfg, seed=_line_seed(fit_cfg.seed, line.speed))
-            result = fit_speedline(line, cfg)
-            underdetermined += int(result.underdetermined)
-            entries.append((line.speed, result.beta, result))
-        table = BetaTable(tuple(entries))
-        model = fit_beta_polynomials(table, pred_cfg)
-        beta, repair = predict_beta(model, target_speed, pred_cfg)
-    except (FitFailureError, InvalidPredictionError, MetricError) as exc:
+        model = fit_beta_polynomials(fit_table(rest), pred_cfg)
+        beta, repair = predict_beta(model, target.speed, pred_cfg)
+    except CpmFitError as exc:
         return PredictionReport(
-            target_speed=target_speed, kind=kind, status="failed",
+            target_speed=target.speed, kind=kind, status="failed",
             predicted_beta=None, metrics={}, repair=RepairFlags(),
             out_of_domain=0, underdetermined_fits=underdetermined,
             failure_reason=str(exc),
@@ -237,9 +249,30 @@ def holdout_predict(cpm: CompressorMap, target_speed: float,
         if mode is pred_cfg.eval_mode:
             out_of_domain = pm.out_of_domain
     return PredictionReport(
-        target_speed=target_speed, kind=kind, status="ok",
+        target_speed=target.speed, kind=kind, status="ok",
         predicted_beta=beta, metrics=metrics, repair=repair,
         out_of_domain=out_of_domain, underdetermined_fits=underdetermined)
+
+
+def holdout_predict(cpm: CompressorMap, target_speed: float,
+                    fit_cfg: FitConfig | None = None,
+                    pred_cfg: PredictionConfig | None = None) -> PredictionReport:
+    """Remove the target line, fit the rest, regress beta and evaluate the prediction.
+
+    The target line is the one whose speed matches target_speed within
+    SPEED_TOLERANCE.  Fit failures and invalid predictions are captured in
+    the report as failed status; the cross-validation harness keeps going.
+    """
+    fit_cfg = fit_cfg or FitConfig()
+    pred_cfg = pred_cfg or PredictionConfig()
+    k = find_speedline(cpm, target_speed)
+    if k is None:
+        raise ValueError(f"map has no speedline at speed {target_speed}")
+    remaining = cpm.speedlines[:k] + cpm.speedlines[k + 1:]
+    if len(remaining) < 2:
+        raise ValueError("hold-out prediction needs >= 2 remaining speedlines")
+    rest = list(zip(remaining, fit_each_line(remaining, fit_cfg)))
+    return _holdout_report(cpm.speedlines[k], rest, pred_cfg)
 
 
 @dataclass(frozen=True)
@@ -285,6 +318,13 @@ def loo_crossval(cpm: CompressorMap, fit_cfg: FitConfig | None = None,
         raise ValueError("leave-one-out needs >= 3 speedlines")
     fit_cfg = fit_cfg or FitConfig()
     pred_cfg = pred_cfg or PredictionConfig()
-    reports = [holdout_predict(cpm, sl.speed, fit_cfg, pred_cfg)
-               for sl in cpm.speedlines]
+    return loo_from_fits(cpm, fit_each_line(cpm.speedlines, fit_cfg), pred_cfg)
+
+
+def loo_from_fits(cpm: CompressorMap, fits, pred_cfg: PredictionConfig
+                  ) -> tuple[list[PredictionReport], list[AggregateSummary]]:
+    """loo_crossval over the per-line fits of fit_each_line: each hold-out drops one."""
+    pairs = list(zip(cpm.speedlines, fits))
+    reports = [_holdout_report(line, pairs[:k] + pairs[k + 1:], pred_cfg)
+               for k, line in enumerate(cpm.speedlines)]
     return reports, aggregate_reports(reports, pred_cfg.eval_mode)

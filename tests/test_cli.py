@@ -7,6 +7,7 @@ import pytest
 
 from conftest import polynomial_beta_map
 from cpmfit.cli import main
+from cpmfit.predict import _line_seed
 
 LAWS = {
     0: (0.10, 0.10),
@@ -15,6 +16,9 @@ LAWS = {
     3: (1.1, 0.3, 0.1),
     4: (3.0, 0.5),
 }
+
+CROSSVAL_ARTIFACTS = ("report.csv", "report.json", "summary.csv",
+                      "beta_nodes.csv", "beta_poly.csv", "curves.svg")
 
 FAST_CONFIG = {
     "de_population": 10,
@@ -33,6 +37,15 @@ def write_map_csv(path, speeds=(300, 400, 500), n_points=8):
             rows.append(f"{sl.speed!r},{p.m_dot!r},{p.pi!r}")
     path.write_text("\n".join(rows) + "\n")
     return path
+
+
+def flat_line_map_csv(tmp_path):
+    """Four fittable lines plus a flat line (4 points at pi = 1.23) at speed 500."""
+    src = write_map_csv(tmp_path / "flat.csv", speeds=(300, 350, 400, 450))
+    with open(src, "a") as fh:
+        for m in (0.1, 0.2, 0.3, 0.4):
+            fh.write(f"500.0,{m},1.23\n")
+    return src
 
 
 @pytest.fixture
@@ -79,6 +92,57 @@ class TestExitCodes:
         statuses = [r[5] for r in rows[1:]]
         assert statuses.count("FAILED") == 1
         assert statuses.count("OK") == 3
+
+    # One flat speedline (constant pressure ratio) among five cannot be
+    # fitted; every subcommand degrades to exit code 2 with failure rows.
+
+    def test_crossval_partial_failure(self, tmp_path, config_file):
+        out = tmp_path / "out"
+        rc = main(["crossval", str(flat_line_map_csv(tmp_path)), "--config",
+                   str(config_file), "--out", str(out), "--seed", "0"])
+        assert rc == 2
+        # Artifacts are written only after all are computed: the full set.
+        assert sorted(os.listdir(out)) == sorted(CROSSVAL_ARTIFACTS)
+        report = json.loads((out / "report.json").read_text())
+        assert [r["speed"] for r in report] == [300, 350, 400, 450, 500]
+        # The flat line's own hold-out regresses over fitted lines only.
+        assert report[4]["status"] == "OK"
+        assert any(r["status"] == "FAILED" for r in report[:4])
+        nodes = read_csv(out / "beta_nodes.csv")
+        assert nodes[5] == ["500", "", "", "", "", ""]
+        assert all(all(cell for cell in row) for row in nodes[1:5])
+        assert len(read_csv(out / "beta_poly.csv")) == 101
+
+    def test_predict_holdout_partial_failure(self, tmp_path, config_file):
+        out = tmp_path / "out"
+        rc = main(["predict", str(flat_line_map_csv(tmp_path)), "--target", "400",
+                   "--config", str(config_file), "--out", str(out), "--seed", "0"])
+        assert rc == 2
+        [row] = json.loads((out / "report.json").read_text())
+        assert row["status"] == "FAILED"
+        assert not (out / "curves.svg").exists()
+
+    def test_predict_pure_partial_failure(self, tmp_path, config_file):
+        out = tmp_path / "out"
+        rc = main(["predict", str(flat_line_map_csv(tmp_path)), "--target", "425",
+                   "--config", str(config_file), "--out", str(out), "--seed", "0"])
+        assert rc == 2
+        payload = json.loads((out / "prediction.json").read_text())
+        assert payload["status"] == "FAILED"
+        assert [f["speed"] for f in payload["fit_failures"]] == [500.0]
+        assert sorted(os.listdir(out)) == ["prediction.json"]
+
+    def test_bench_partial_failure(self, tmp_path, config_file):
+        out = tmp_path / "out"
+        rc = main(["bench", str(flat_line_map_csv(tmp_path)), "--config", str(config_file),
+                   "--repeats", "1", "--out", str(out), "--seed", "0"])
+        assert rc == 2
+        rows = read_csv(out / "bench.csv")[1:]
+        failed = [(r[0], r[1]) for r in rows if r[7] == "FAILED"]
+        assert failed == [("none", "500"), ("pso", "500"), ("de", "500")]
+        # A failed row keeps the per-line seed its fit ran with.
+        assert {r[3] for r in rows if r[1] == "500"} == {str(_line_seed(0, 500.0))}
+        assert (out / "bench_summary.csv").exists()
 
     def test_missing_input_file(self, tmp_path):
         rc = main(["fit", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
@@ -142,6 +206,26 @@ class TestPredict:
         report = json.loads((out / "report.json").read_text())
         assert report[0]["status"] == "OK"
         assert (out / "curves.svg").exists()
+
+    def test_holdout_target_within_speed_tolerance(self, tmp_path, config_file):
+        # The 425 line's rows carry speeds jittered within the grouping
+        # tolerance, so its grouped speed is their mean, not exactly 425.
+        cpm = polynomial_beta_map((300, 425, 500), LAWS, n_points=8)
+        rows = ["speed,m_dot,pi"]
+        for sl in cpm.speedlines:
+            for i, p in enumerate(sl.points):
+                speed = sl.speed + (1e-4 * (1 + i % 2) if sl.speed == 425 else 0.0)
+                rows.append(f"{speed!r},{p.m_dot!r},{p.pi!r}")
+        src = tmp_path / "jitter.csv"
+        src.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        rc = main(["predict", str(src), "--target", "425",
+                   "--config", str(config_file), "--out", str(out), "--seed", "0"])
+        assert rc == 0
+        [row] = json.loads((out / "report.json").read_text())
+        assert row["status"] == "OK"
+        assert row["speed"] != 425 and row["speed"] == pytest.approx(425, rel=1e-6)
+        assert not (out / "prediction.json").exists()
 
     def test_pure_prediction(self, tmp_path, map_csv, config_file):
         out = tmp_path / "out"

@@ -9,6 +9,7 @@ from cpmfit import (
     BetaVector,
     Bounds,
     DegenerateInputError,
+    EvalMode,
     FitConfig,
     InitStrategy,
     LocalSolver,
@@ -17,6 +18,7 @@ from cpmfit import (
     Speedline,
     default_bounds,
     differential_evolution,
+    evaluate_prediction,
     fit_speedline,
     nelder_mead,
     objective,
@@ -44,6 +46,35 @@ class TestObjective:
     def test_two_unit_distances(self, quarter_circle):
         pts = [OperatingPoint(0.0, 0.0), OperatingPoint(2.0, 0.0)]
         assert objective(quarter_circle, pts, MetricKind.ORTHO) == pytest.approx(2.0, abs=1e-9)
+
+
+    def test_non_ortho_matches_evaluate_prediction(self):
+        # The scalar objective evaluates one metric on its own; it must equal
+        # the full evaluation bit for bit, with undefined values as PENALTY.
+        rng = np.random.default_rng(77)
+        cases = []
+        for _ in range(60):
+            beta = random_beta(rng)
+            line = speedline_from_beta(beta, 15, 300.0, noise=0.05, rng=rng)
+            # Perturbed beta, so some points fall outside its domain; down to
+            # one point, where the residual SD is undefined.
+            x = beta.as_array() + rng.normal(0.0, 0.1, 5) * [1, 1, 1, 1, 0]
+            cases.append((x, line.points[:int(rng.integers(1, 16))]))
+        # Every truth value at or below the MAPE threshold: MAPE is undefined.
+        zero_pi = [OperatingPoint(m, 0.0) for m in (0.2, 0.5, 0.8)]
+        cases.append((np.array([0.0, 1.0, 1.0, 0.0, 2.0]), zero_pi))
+        n_out_of_domain = n_undefined = 0
+        for x, pts in cases:
+            for mode in (EvalMode.PRESSURE, EvalMode.MASSFLOW):
+                pm = evaluate_prediction(BetaVector.from_array(x), pts, mode)
+                n_out_of_domain += pm.out_of_domain > 0
+                for metric in (MetricKind.RMSE, MetricKind.MAPE, MetricKind.RESIDUAL_SD):
+                    want = pm[metric].mean
+                    n_undefined += not np.isfinite(want)
+                    want = want if np.isfinite(want) else PENALTY
+                    assert objective(x, pts, metric, mode) == want
+        assert n_out_of_domain > 0
+        assert n_undefined > 0
 
 
 class TestDifferentialEvolution:
