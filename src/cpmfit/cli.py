@@ -26,7 +26,7 @@ from .dataio import (
     normalize_map,
     parse_map_csv,
 )
-from .errors import CpmFitError, InvalidPredictionError, ParseError
+from .errors import CpmFitError, InvalidPredictionError
 from .metrics import EvalMode, MetricKind, _clamped_prediction, evaluate_prediction
 from .model import sample_curve
 from .optimize import FitConfig, InitStrategy, LocalSolver
@@ -37,6 +37,7 @@ from .predict import (
     fit_beta_polynomials,
     fit_each_line,
     fit_table,
+    fitted_pairs,
     holdout_predict,
     loo_from_fits,
     predict_beta,
@@ -226,8 +227,7 @@ def cmd_crossval(args) -> int:
         cells = ([""] * len(BETA_FIELDS) if isinstance(fit, CpmFitError)
                  else [_fmt(v) for v in fit.beta.as_array()])
         node_rows.append([_fmt(line.speed), *cells])
-    table = fit_table((line, fit) for line, fit in zip(cpm.speedlines, fits)
-                      if not isinstance(fit, CpmFitError))
+    table = fit_table(fitted_pairs(zip(cpm.speedlines, fits)))
     poly_rows = []
     if len(table) >= 2:
         model = fit_beta_polynomials(table, pred_cfg)
@@ -247,7 +247,7 @@ def cmd_crossval(args) -> int:
         "beta_poly.csv": _csv_text(["speed", *BETA_FIELDS], poly_rows),
         "curves.svg": export_curve_svg(cpm.speedlines, predicted),
     })
-    if any(r.status != "ok" for r in reports):
+    if any(isinstance(f, CpmFitError) for f in fits) or any(r.status != "ok" for r in reports):
         return EXIT_PARTIAL
     return EXIT_OK
 
@@ -267,7 +267,7 @@ def cmd_predict(args) -> int:
             artifacts["curves.svg"] = export_curve_svg(
                 cpm.speedlines, [(report.target_speed, report.predicted_beta)])
         _write_artifacts(args.out, artifacts)
-        return EXIT_OK if report.status == "ok" else EXIT_PARTIAL
+        return EXIT_OK if report.status == "ok" and not report.failed_fits else EXIT_PARTIAL
 
     # Pure prediction: no held-out measurements, hence no metrics.
     fits = fit_each_line(cpm.speedlines, fit_cfg)
@@ -401,13 +401,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except CpmFitError as exc:
+    except (FileNotFoundError, CpmFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -13,7 +13,6 @@ from .errors import CpmFitError, DegenerateInputError, ParseError
 from .metrics import EvalMode, MetricKind
 from .model import (
     SPEED_TOLERANCE,
-    BetaVector,
     CompressorMap,
     OperatingPoint,
     Speedline,
@@ -184,6 +183,8 @@ def flags_string(report: PredictionReport) -> str:
         parts.append(f"out_of_domain={report.out_of_domain}")
     if report.underdetermined_fits:
         parts.append(f"underdetermined_fits={report.underdetermined_fits}")
+    if report.failed_fits:
+        parts.append(f"failed_fits={report.failed_fits}")
     return ";".join(parts)
 
 

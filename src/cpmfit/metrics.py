@@ -3,6 +3,8 @@
 The orthogonal-distance machinery is vectorized over measurement points:
 one shared parameter grid brackets the nearest curve point for every
 measurement, then a golden-section pass refines all brackets at once.
+The curve itself is evaluated only through model: its batched parametric
+kernel (model._curve_xy_raw) and its explicit branch (model._explicit_branch).
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError, UndefinedMetricError
-from .model import BetaVector, OperatingPoint, curve_xy
+from .model import BetaVector, OperatingPoint, _curve_xy_raw, _explicit_branch, _points_to_xy
 
 MAPE_EPS = 1e-12
 
@@ -97,18 +99,6 @@ _GOLDEN_ITERS = math.ceil(
     math.log(GOLDEN_TOL / (math.pi / (GRID_SIZE - 1))) / math.log(_INVPHI))
 
 
-def _curve_xy_raw(bmat: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parametric curve points for a (B, 5) batch of betas; t broadcasts to (B, K)."""
-    e = 2.0 / bmat[:, 4:5]
-    c = np.cos(t)
-    s = np.sin(t)
-    c = np.where(np.abs(c) < 1e-15, 0.0, np.maximum(c, 0.0))
-    s = np.where(np.abs(s) < 1e-15, 0.0, np.maximum(s, 0.0))
-    m = bmat[:, 0:1] + (bmat[:, 2:3] - bmat[:, 0:1]) * c ** e
-    pi = bmat[:, 3:4] + (bmat[:, 1:2] - bmat[:, 3:4]) * s ** e
-    return m, pi
-
-
 def _nearest_t_batch(bmat: np.ndarray, m: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """(B, N) curve parameters of the nearest points for each (beta, measurement).
 
@@ -169,37 +159,22 @@ def _ortho_d2_batch(bmat: np.ndarray, m: np.ndarray, pi: np.ndarray) -> np.ndarr
     return (cx - m) ** 2 + (cy - pi) ** 2
 
 
-def _nearest_t(beta: BetaVector, m: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    return _nearest_t_batch(beta.as_array()[None, :], m, pi)[0]
-
-
-def _ortho_d2(beta: BetaVector, m: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    return _ortho_d2_batch(beta.as_array()[None, :], m, pi)[0]
-
-
 def nearest_point_on_curve(beta: BetaVector, p: OperatingPoint) -> tuple[OperatingPoint, float]:
     """Nearest curve point to p and the squared Euclidean distance."""
     m = np.array([p.m_dot])
     pi = np.array([p.pi])
-    t = _nearest_t(beta, m, pi)
-    cx, cy = curve_xy(beta, t)
-    d2 = float((cx[0] - p.m_dot) ** 2 + (cy[0] - p.pi) ** 2)
-    return OperatingPoint(float(cx[0]), float(cy[0])), d2
+    bmat = beta.as_array()[None, :]
+    cx, cy = _curve_xy_raw(bmat, _nearest_t_batch(bmat, m, pi))
+    d2 = float((cx[0, 0] - p.m_dot) ** 2 + (cy[0, 0] - p.pi) ** 2)
+    return OperatingPoint(float(cx[0, 0]), float(cy[0, 0])), d2
 
 
 def ortho_sum(beta: BetaVector, points) -> float:
     """Sum (not mean) of squared orthogonal distances from the points to the curve."""
-    m, pi = _points_arrays(points)
+    m, pi = _points_to_xy(points)
     if m.size == 0:
         raise MetricError("ortho_sum of empty input")
-    return float(np.sum(_ortho_d2(beta, m, pi)))
-
-
-def _points_arrays(points) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(points, tuple) and len(points) == 2 and isinstance(points[0], np.ndarray):
-        return points
-    return (np.array([p.m_dot for p in points], dtype=float),
-            np.array([p.pi for p in points], dtype=float))
+    return float(np.sum(_ortho_d2_batch(beta.as_array()[None, :], m, pi)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +197,9 @@ def _clamped_prediction(beta: BetaVector, m: np.ndarray, pi: np.ndarray,
                         mode: EvalMode) -> tuple[np.ndarray, np.ndarray, int]:
     """(truth, pred, out-of-domain count) for the chosen comparison mode."""
     if mode is EvalMode.PRESSURE:
-        u = (m - beta.m_zs) / (beta.m_ch - beta.m_zs)
-        out = int(np.sum((u < -1e-12) | (u > 1.0 + 1e-12)))
-        u = np.clip(u, 0.0, 1.0)
-        pred = beta.pi_ch + (beta.pi_zs - beta.pi_ch) * (1.0 - u ** beta.cur) ** (1.0 / beta.cur)
+        pred, out = _explicit_branch(beta, m, True)
         return pi, pred, out
-    v = (pi - beta.pi_ch) / (beta.pi_zs - beta.pi_ch)
-    out = int(np.sum((v < -1e-12) | (v > 1.0 + 1e-12)))
-    v = np.clip(v, 0.0, 1.0)
-    pred = beta.m_zs + (beta.m_ch - beta.m_zs) * (1.0 - v ** beta.cur) ** (1.0 / beta.cur)
+    pred, out = _explicit_branch(beta, pi, False)
     return m, pred, out
 
 
@@ -275,12 +244,13 @@ def evaluate_prediction(beta: BetaVector, measured, mode: EvalMode = EvalMode.PR
     counted; non-finite intermediate values never raise, they set
     has_nonfinite on the affected summary.
     """
-    m, pi = _points_arrays(measured)
+    m, pi = _points_to_xy(measured)
     truth, pred, out_of_domain = _clamped_prediction(beta, m, pi, mode)
     summaries = _pointwise_summaries(truth, pred)
     nf = summaries[MetricKind.RMSE].has_nonfinite  # some (truth, pred) pair is not finite
 
-    d2 = _ortho_d2(beta, m[np.isfinite(m) & np.isfinite(pi)], pi[np.isfinite(m) & np.isfinite(pi)])
+    finite = np.isfinite(m) & np.isfinite(pi)
+    d2 = _ortho_d2_batch(beta.as_array()[None, :], m[finite], pi[finite])[0]
     if d2.size:
         summaries[MetricKind.ORTHO] = ErrorSummary(
             float(np.sum(d2)), float(np.std(d2, ddof=1)) if d2.size > 1 else 0.0,

@@ -8,7 +8,7 @@ corner is (2 = quarter ellipse).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,7 +162,8 @@ class ConicCoefficients:
         return float(np.sum(r * r))
 
 
-def _points_to_xy(points):
+def _points_to_xy(points) -> tuple[np.ndarray, np.ndarray]:
+    """Float (x, y) arrays from an (x, y) pair of sequences or a sequence of OperatingPoint."""
     if isinstance(points, tuple) and len(points) == 2 and not isinstance(points[0], OperatingPoint):
         return np.asarray(points[0], float), np.asarray(points[1], float)
     x = np.array([p.m_dot for p in points], dtype=float)
@@ -174,34 +175,42 @@ def _points_to_xy(points):
 # Superellipse evaluation
 
 
+def _explicit_branch(beta: BetaVector, x, pressure: bool) -> tuple[np.ndarray, int]:
+    """The curve as an explicit function of one coordinate, and its domain misses.
+
+    pressure=True maps mass flow to pressure ratio, False pressure ratio to
+    mass flow.  Returns y = y_lo + (y_hi - y_lo)(1 - u^cur)^(1/cur) for the
+    normalized coordinate u of x, clipped into [0, 1], and the count of
+    values whose u lies outside [0, 1] by more than DOMAIN_RTOL.
+    """
+    if pressure:
+        x_lo, x_hi, y_lo, y_hi = beta.m_zs, beta.m_ch, beta.pi_ch, beta.pi_zs
+    else:
+        x_lo, x_hi, y_lo, y_hi = beta.pi_ch, beta.pi_zs, beta.m_zs, beta.m_ch
+    u = (x - x_lo) / (x_hi - x_lo)
+    out = int(np.sum((u < -DOMAIN_RTOL) | (u > 1.0 + DOMAIN_RTOL)))
+    u = np.clip(u, 0.0, 1.0)
+    return y_lo + (y_hi - y_lo) * (1.0 - u ** beta.cur) ** (1.0 / beta.cur), out
+
+
 def pressure_at(beta: BetaVector, m_dot):
     """Pressure ratio on the curve at the given mass flow(s).
 
     Accepts a scalar or array; raises DomainError if any value lies outside
     [m_zs, m_ch] by more than DOMAIN_RTOL relative to the flow span.
     """
-    scalar = np.isscalar(m_dot)
-    m = np.asarray(m_dot, dtype=float)
-    dm = beta.m_ch - beta.m_zs
-    u = (m - beta.m_zs) / dm
-    if np.any(u < -DOMAIN_RTOL) or np.any(u > 1.0 + DOMAIN_RTOL):
+    pi, out = _explicit_branch(beta, np.asarray(m_dot, dtype=float), True)
+    if out:
         raise DomainError(f"m_dot outside [{beta.m_zs}, {beta.m_ch}]")
-    u = np.clip(u, 0.0, 1.0)
-    pi = beta.pi_ch + (beta.pi_zs - beta.pi_ch) * (1.0 - u ** beta.cur) ** (1.0 / beta.cur)
-    return float(pi) if scalar else pi
+    return float(pi) if np.isscalar(m_dot) else pi
 
 
 def massflow_at(beta: BetaVector, pi):
     """Mass flow on the curve at the given pressure ratio(s); inverse of pressure_at."""
-    scalar = np.isscalar(pi)
-    p = np.asarray(pi, dtype=float)
-    dpi = beta.pi_zs - beta.pi_ch
-    v = (p - beta.pi_ch) / dpi
-    if np.any(v < -DOMAIN_RTOL) or np.any(v > 1.0 + DOMAIN_RTOL):
+    m, out = _explicit_branch(beta, np.asarray(pi, dtype=float), False)
+    if out:
         raise DomainError(f"pi outside [{beta.pi_ch}, {beta.pi_zs}]")
-    v = np.clip(v, 0.0, 1.0)
-    m = beta.m_zs + (beta.m_ch - beta.m_zs) * (1.0 - v ** beta.cur) ** (1.0 / beta.cur)
-    return float(m) if scalar else m
+    return float(m) if np.isscalar(pi) else m
 
 
 def implicit_residual(beta: BetaVector, p: OperatingPoint) -> float:
@@ -214,18 +223,24 @@ def implicit_residual(beta: BetaVector, p: OperatingPoint) -> float:
     return abs(u) ** beta.cur + abs(v) ** beta.cur - 1.0
 
 
-def curve_xy(beta: BetaVector, t) -> tuple[np.ndarray, np.ndarray]:
-    """Parametric curve point(s) for t in [0, pi/2]; t=0 is choke, t=pi/2 surge."""
-    t = np.asarray(t, dtype=float)
-    e = 2.0 / beta.cur
+def _curve_xy_raw(bmat: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parametric curve points for a (B, 5) batch of betas; t broadcasts to (B, K)."""
+    e = 2.0 / bmat[:, 4:5]
     # Snap rounding residue at the endpoints so t=pi/2 lands exactly on surge.
     c = np.cos(t)
     s = np.sin(t)
-    c = np.where(np.abs(c) < 1e-15, 0.0, np.clip(c, 0.0, 1.0))
-    s = np.where(np.abs(s) < 1e-15, 0.0, np.clip(s, 0.0, 1.0))
-    m = beta.m_zs + (beta.m_ch - beta.m_zs) * c ** e
-    pi = beta.pi_ch + (beta.pi_zs - beta.pi_ch) * s ** e
+    c = np.where(np.abs(c) < 1e-15, 0.0, np.maximum(c, 0.0))
+    s = np.where(np.abs(s) < 1e-15, 0.0, np.maximum(s, 0.0))
+    m = bmat[:, 0:1] + (bmat[:, 2:3] - bmat[:, 0:1]) * c ** e
+    pi = bmat[:, 3:4] + (bmat[:, 1:2] - bmat[:, 3:4]) * s ** e
     return m, pi
+
+
+def curve_xy(beta: BetaVector, t) -> tuple[np.ndarray, np.ndarray]:
+    """Parametric curve point(s) for t in [0, pi/2]; t=0 is choke, t=pi/2 surge."""
+    t = np.asarray(t, dtype=float)
+    m, pi = _curve_xy_raw(beta.as_array()[None, :], t.reshape(1, -1))
+    return m.reshape(t.shape), pi.reshape(t.shape)
 
 
 def sample_curve(beta: BetaVector, n: int) -> list[OperatingPoint]:

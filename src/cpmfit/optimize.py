@@ -9,21 +9,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, FitFailureError
-from .metrics import (
-    EvalMode,
-    MetricKind,
-    _clamped_prediction,
-    _ortho_d2,
-    _ortho_d2_batch,
-    _points_arrays,
-    _pointwise_summaries,
-)
-from .model import CUR_MIN, BetaVector, Speedline
+from .metrics import EvalMode, MetricKind, _clamped_prediction, _ortho_d2_batch, _pointwise_summaries
+from .model import CUR_MIN, BetaVector, Speedline, _points_to_xy
 
 PENALTY = 1e12
 
@@ -135,67 +127,54 @@ def _invariant_violation(x: np.ndarray) -> float:
     return v if bad else -1.0
 
 
+def _row_losses(xs: np.ndarray, m: np.ndarray, pi: np.ndarray,
+                metric: MetricKind, mode: EvalMode) -> np.ndarray:
+    """Loss of each row of a (B, 5) batch of candidate betas against the points.
+
+    A row violating the beta ordering invariants scores PENALTY plus the
+    violation magnitude (2 * PENALTY when that is not finite) instead of
+    raising, so population methods can traverse infeasible regions; any
+    other loss that is not finite scores PENALTY.  The ortho metric
+    projects all feasible rows at once; other metrics need no projection.
+    """
+    losses = []
+    feasible = []
+    for i, x in enumerate(xs):
+        viol = _invariant_violation(x)
+        if viol >= 0.0:
+            losses.append(PENALTY + (viol if math.isfinite(viol) else PENALTY))
+        elif metric is MetricKind.ORTHO:
+            losses.append(math.nan)
+            feasible.append(i)
+        else:
+            truth, pred, _ = _clamped_prediction(BetaVector.from_array(x), m, pi, mode)
+            losses.append(_pointwise_summaries(truth, pred)[metric].mean)
+    out = np.array(losses)
+    if feasible:
+        out[feasible] = np.sum(_ortho_d2_batch(xs[feasible], m, pi), axis=1)
+    out[~np.isfinite(out)] = PENALTY
+    return out
+
+
 def objective(beta, points, metric: MetricKind = MetricKind.ORTHO,
               mode: EvalMode = EvalMode.PRESSURE) -> float:
-    """Scalar loss of a candidate beta against measured points.
+    """Scalar loss of a candidate beta (a BetaVector or 5 values) against measured points.
 
-    Candidates violating the beta ordering invariants return a large penalty
-    (PENALTY + violation magnitude) instead of raising, so population methods
-    can traverse infeasible regions.
+    Infeasible candidates score a large penalty instead of raising; see _row_losses.
     """
-    if isinstance(beta, BetaVector):
-        x = beta.as_array()
-    else:
-        x = np.asarray(beta, dtype=float)
-    viol = _invariant_violation(x)
-    if viol >= 0.0:
-        return PENALTY + (viol if math.isfinite(viol) else PENALTY)
-    bv = BetaVector.from_array(x)
-    m, pi = _points_arrays(points)
-    if metric is MetricKind.ORTHO:
-        val = float(np.sum(_ortho_d2(bv, m, pi)))
-    else:
-        # Only the pointwise summaries: the orthogonal projection is the costly part.
-        val = _pointwise_summaries(*_clamped_prediction(bv, m, pi, mode)[:2])[metric].mean
-    if not math.isfinite(val):
-        return PENALTY
-    return val
+    x = beta.as_array() if isinstance(beta, BetaVector) else np.asarray(beta, dtype=float)
+    return float(_row_losses(x[None, :], *_points_to_xy(points), metric, mode)[0])
 
 
 def make_objective(points, metric: MetricKind, mode: EvalMode):
-    m, pi = _points_arrays(points)
+    m, pi = _points_to_xy(points)
     return lambda x: objective(x, (m, pi), metric, mode)
 
 
 def make_objective_batch(points, metric: MetricKind, mode: EvalMode):
-    """Vectorized objective over a (B, 5) batch of candidate betas.
-
-    The ortho metric is evaluated for all valid rows in one batched
-    projection; other metrics fall back to the scalar path per row.
-    """
-    m, pi = _points_arrays(points)
-    scalar = make_objective((m, pi), metric, mode)
-
-    def fb(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty(xs.shape[0])
-        valid = np.ones(xs.shape[0], dtype=bool)
-        for i, x in enumerate(xs):
-            viol = _invariant_violation(x)
-            if viol >= 0.0:
-                out[i] = PENALTY + (viol if math.isfinite(viol) else PENALTY)
-                valid[i] = False
-        if np.any(valid):
-            if metric is MetricKind.ORTHO:
-                d2 = _ortho_d2_batch(xs[valid], m, pi)
-                vals = np.sum(d2, axis=1)
-                vals[~np.isfinite(vals)] = PENALTY
-                out[valid] = vals
-            else:
-                out[valid] = [scalar(x) for x in xs[valid]]
-        return out
-
-    return fb
+    """Vectorized objective over a (B, 5) batch of candidate betas; row i equals objective(xs[i])."""
+    m, pi = _points_to_xy(points)
+    return lambda xs: _row_losses(np.asarray(xs, dtype=float), m, pi, metric, mode)
 
 
 def _bounded(f, bounds: Bounds):
@@ -381,7 +360,7 @@ def quasi_newton(f, x0, bounds: Bounds, cfg: FitConfig) -> np.ndarray:
 
 def default_bounds(points) -> Bounds:
     """Data-driven parameter box: half-span margins beyond the measured range."""
-    m, pi = _points_arrays(points)
+    m, pi = _points_to_xy(points)
     if m.size < 3:
         raise DegenerateInputError(f"need >= 3 points for bounds, got {m.size}")
     dm = float(np.max(m) - np.min(m))

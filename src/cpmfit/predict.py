@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CpmFitError, InvalidPredictionError, MetricError
-from .metrics import ErrorSummary, EvalMode, MetricKind, evaluate_prediction
+from .metrics import EvalMode, MetricKind, evaluate_prediction
 from .model import BetaVector, CompressorMap, Speedline, same_speed
 from .optimize import FitConfig, FitResult, fit_speedline
 
@@ -107,6 +107,7 @@ class PredictionReport:
     underdetermined_fits: int
     failure_reason: str | None = None
     raw_values: tuple[float, ...] | None = None
+    failed_fits: int = 0  # lines left out of the regression because their fit failed
 
 
 def fit_beta_polynomials(table: BetaTable, cfg: PredictionConfig) -> PolyModel:
@@ -201,6 +202,11 @@ def fit_each_line(lines, fit_cfg: FitConfig) -> list[FitResult | CpmFitError]:
     return fits
 
 
+def fitted_pairs(pairs) -> list:
+    """The (Speedline, fit) pairs whose fit succeeded, in order."""
+    return [(line, fit) for line, fit in pairs if not isinstance(fit, CpmFitError)]
+
+
 def fit_table(pairs) -> BetaTable:
     """BetaTable of (Speedline, fit) pairs; raises the first captured fit error."""
     entries = []
@@ -223,15 +229,19 @@ def fit_map(cpm: CompressorMap, fit_cfg: FitConfig) -> BetaTable:
 
 
 def _holdout_report(target: Speedline, rest, pred_cfg: PredictionConfig) -> PredictionReport:
-    """Regress beta over the (Speedline, fit) pairs of rest and evaluate it on target.
+    """Regress beta over the fitted (Speedline, fit) pairs of rest and evaluate it on target.
 
-    Fit failures among rest and invalid predictions give a failed report.
+    Lines of rest whose fit failed are left out and counted in failed_fits;
+    the kind is classified over the fitted lines (over all of rest when none
+    is).  Fewer than two fitted lines or an invalid prediction give a failed
+    report.
     """
-    kind = classify(target.speed, [sl.speed for sl, _ in rest])
-    underdetermined = sum(int(fit.underdetermined) for _, fit in rest
-                          if isinstance(fit, FitResult))
+    fitted = fitted_pairs(rest)
+    kind = classify(target.speed, [sl.speed for sl, _ in fitted or rest])
+    underdetermined = sum(int(fit.underdetermined) for _, fit in fitted)
+    failed_fits = len(rest) - len(fitted)
     try:
-        model = fit_beta_polynomials(fit_table(rest), pred_cfg)
+        model = fit_beta_polynomials(fit_table(fitted), pred_cfg)
         beta, repair = predict_beta(model, target.speed, pred_cfg)
     except CpmFitError as exc:
         return PredictionReport(
@@ -239,7 +249,7 @@ def _holdout_report(target: Speedline, rest, pred_cfg: PredictionConfig) -> Pred
             predicted_beta=None, metrics={}, repair=RepairFlags(),
             out_of_domain=0, underdetermined_fits=underdetermined,
             failure_reason=str(exc),
-            raw_values=getattr(exc, "raw_values", None))
+            raw_values=getattr(exc, "raw_values", None), failed_fits=failed_fits)
 
     metrics = {}
     out_of_domain = 0
@@ -251,7 +261,8 @@ def _holdout_report(target: Speedline, rest, pred_cfg: PredictionConfig) -> Pred
     return PredictionReport(
         target_speed=target.speed, kind=kind, status="ok",
         predicted_beta=beta, metrics=metrics, repair=repair,
-        out_of_domain=out_of_domain, underdetermined_fits=underdetermined)
+        out_of_domain=out_of_domain, underdetermined_fits=underdetermined,
+        failed_fits=failed_fits)
 
 
 def holdout_predict(cpm: CompressorMap, target_speed: float,
@@ -260,8 +271,9 @@ def holdout_predict(cpm: CompressorMap, target_speed: float,
     """Remove the target line, fit the rest, regress beta and evaluate the prediction.
 
     The target line is the one whose speed matches target_speed within
-    SPEED_TOLERANCE.  Fit failures and invalid predictions are captured in
-    the report as failed status; the cross-validation harness keeps going.
+    SPEED_TOLERANCE.  Remaining lines whose fit fails are left out of the
+    regression and counted in the report's failed_fits; an invalid
+    prediction gives a failed report.  The cross-validation harness keeps going.
     """
     fit_cfg = fit_cfg or FitConfig()
     pred_cfg = pred_cfg or PredictionConfig()

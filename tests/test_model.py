@@ -10,6 +10,7 @@ from cpmfit import (
     BetaVector,
     DegenerateInputError,
     DomainError,
+    EvalMode,
     OperatingPoint,
     Speedline,
     conic_geometry,
@@ -19,14 +20,16 @@ from cpmfit import (
     pressure_at,
     sample_curve,
 )
+from cpmfit.metrics import _clamped_prediction
+from cpmfit.model import curve_xy
 
 
-def beta_strategy():
+def beta_strategy(cur_max=10.0):
     finite = st.floats(-5, 5, allow_nan=False)
     return st.builds(
         lambda m_zs, dm, pi_ch, dpi, cur: BetaVector(
             m_zs, pi_ch + dpi, m_zs + dm, pi_ch, cur),
-        finite, st.floats(0.1, 5), finite, st.floats(0.1, 5), st.floats(1.05, 10))
+        finite, st.floats(0.1, 5), finite, st.floats(0.1, 5), st.floats(1.05, cur_max))
 
 
 class TestTypes:
@@ -159,6 +162,27 @@ class TestSampleCurve:
     def test_rejects_n_below_two(self, quarter_circle):
         with pytest.raises(ValueError):
             sample_curve(quarter_circle, 1)
+
+
+class TestCurveForms:
+    @settings(max_examples=200, deadline=None)
+    @given(beta_strategy(cur_max=20.0), st.floats(0.05, math.pi / 2 - 0.05))
+    def test_parametric_and_explicit_forms_agree(self, beta, t):
+        # A scalar t gives the same point as a one-element array.
+        m, pi = (float(v) for v in curve_xy(beta, t))
+        m1, pi1 = curve_xy(beta, np.array([t]))
+        assert (m, pi) == (m1[0], pi1[0])
+        # The explicit branches pass through the parametric point.
+        dm, dpi = beta.m_ch - beta.m_zs, beta.pi_zs - beta.pi_ch
+        assert abs(pressure_at(beta, m) - pi) <= 1e-10 * dpi
+        assert abs(massflow_at(beta, pi) - m) <= 1e-10 * dm
+        # In the domain, the clamped prediction is the explicit branch exactly.
+        ms = np.array([beta.m_zs, m, beta.m_ch])
+        pis = np.array([beta.pi_ch, pi, beta.pi_zs])
+        _, pred, out = _clamped_prediction(beta, ms, pis, EvalMode.PRESSURE)
+        assert out == 0 and pred.tolist() == pressure_at(beta, ms).tolist()
+        _, pred, out = _clamped_prediction(beta, ms, pis, EvalMode.MASSFLOW)
+        assert out == 0 and pred.tolist() == massflow_at(beta, pis).tolist()
 
 
 def circle_points(n, cx=0.0, cy=0.0, rx=1.0, ry=1.0, phase=0.0):

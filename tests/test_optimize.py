@@ -25,13 +25,23 @@ from cpmfit import (
     particle_swarm,
     sample_curve,
 )
-from cpmfit.optimize import PENALTY, quasi_newton
+from cpmfit.model import CUR_MIN
+from cpmfit.optimize import PENALTY, make_objective_batch, quasi_newton
 
 BOX5 = Bounds(np.array([-5.0, -5, -5, -5, 1.05]), np.array([5.0, 5, 5, 5, 5.0]))
 
 
 def sphere(x):
     return float(np.sum(np.asarray(x) ** 2))
+
+
+def rows(x):
+    """x plus three infeasible variants: bad ordering, cur < CUR_MIN, a NaN."""
+    bad_order, low_cur, nan = x.copy(), x.copy(), x.copy()
+    bad_order[2] = bad_order[0] - 0.1
+    low_cur[4] = CUR_MIN - 0.5
+    nan[1] = np.nan
+    return np.array([x, bad_order, low_cur, nan])
 
 
 class TestObjective:
@@ -51,6 +61,8 @@ class TestObjective:
     def test_non_ortho_matches_evaluate_prediction(self):
         # The scalar objective evaluates one metric on its own; it must equal
         # the full evaluation bit for bit, with undefined values as PENALTY.
+        # Every row of the batch objective equals the scalar objective of
+        # that row bit for bit, for every metric, infeasible rows included.
         rng = np.random.default_rng(77)
         cases = []
         for _ in range(60):
@@ -73,6 +85,9 @@ class TestObjective:
                     n_undefined += not np.isfinite(want)
                     want = want if np.isfinite(want) else PENALTY
                     assert objective(x, pts, metric, mode) == want
+                for metric in MetricKind:
+                    got = make_objective_batch(pts, metric, mode)(rows(x))
+                    assert got.tolist() == [objective(r, pts, metric, mode) for r in rows(x)]
         assert n_out_of_domain > 0
         assert n_undefined > 0
 
