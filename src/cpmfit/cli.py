@@ -8,8 +8,6 @@ atomically (write-then-rename) after computation finishes.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -20,14 +18,16 @@ import numpy as np
 
 from .dataio import (
     _fmt,
+    csv_text,
     export_curve_svg,
     export_report,
     group_speedlines,
+    json_text,
     normalize_map,
     parse_map_csv,
 )
 from .errors import CpmFitError, InvalidPredictionError
-from .metrics import EvalMode, MetricKind, _clamped_prediction, evaluate_prediction
+from .metrics import EvalMode, MetricKind, _clamped_prediction, _pointwise_summary, ortho_sum
 from .model import sample_curve
 from .optimize import FitConfig, InitStrategy, LocalSolver
 from .predict import (
@@ -47,10 +47,61 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_PARTIAL = 2
 
-_METRICS = {"rmse": MetricKind.RMSE, "mape": MetricKind.MAPE, "ortho": MetricKind.ORTHO}
-_INITS = {"none": InitStrategy.NONE, "pso": InitStrategy.PSO, "de": InitStrategy.DE}
-_SOLVERS = {"nm": LocalSolver.NELDER_MEAD, "qn": LocalSolver.QUASI_NEWTON}
-_MODES = {"pressure": EvalMode.PRESSURE, "massflow": EvalMode.MASSFLOW}
+# Residual SD is reported, never fitted: the one exclusion from MetricKind.
+OBJECTIVE_KINDS = tuple(k for k in MetricKind if k is not MetricKind.RESIDUAL_SD)
+TRUE_WORDS = ("1", "true", "yes", "on")
+FALSE_WORDS = ("0", "false", "no", "off")
+
+
+def _values(members) -> list[str]:
+    return sorted(m.value for m in members)
+
+
+def _fit_metric(value) -> MetricKind:
+    kind = MetricKind(value)
+    if kind not in OBJECTIVE_KINDS:
+        raise ValueError(f"{value!r} is not one of {', '.join(_values(OBJECTIVE_KINDS))}")
+    return kind
+
+
+def _bool(value) -> bool:
+    word = str(value).lower()
+    if word not in TRUE_WORDS + FALSE_WORDS:
+        raise ValueError(f"{value!r} is not one of {', '.join(TRUE_WORDS + FALSE_WORDS)}")
+    return word in TRUE_WORDS
+
+
+def _spelled(cast):
+    """Parse a value from its spelling, as a flag's: 2.5 is no integer, true no number."""
+    return lambda value: cast(str(value))
+
+
+_int, _float = _spelled(int), _spelled(float)
+
+
+# Every config-file key: its parser, then where its value goes ("fit" is
+# FitConfig, "pred" PredictionConfig, "run" the per-run settings).  A flag
+# of the same name parses through the same entry.
+OPTIONS = {
+    "seed": (_int, "fit.seed"),
+    "metric": (_fit_metric, "fit.metric"),
+    "init": (InitStrategy, "fit.init_strategy"),
+    "solver": (LocalSolver, "fit.local_solver"),
+    "mode": (EvalMode, "fit.mode", "pred.eval_mode"),
+    "de_population": (_int, "fit.de_population"),
+    "de_max_iters": (_int, "fit.de_max_iters"),
+    "pso_particles": (_int, "fit.pso_particles"),
+    "pso_iters": (_int, "fit.pso_iters"),
+    "local_max_iters": (_int, "fit.local_max_iters"),
+    "objective_tol": (_float, "fit.objective_tol"),
+    "simplex_tol": (_float, "fit.simplex_tol"),
+    "degree": (_int, "pred.degree"),
+    "normalize_speed": (_bool, "pred.normalize_speed"),
+    "enforce_cur_min": (_float, "pred.enforce_cur_min"),
+    "enforce_nonneg": (_bool, "pred.enforce_nonneg"),
+    "normalize": (_bool, "run.normalize"),
+    "repeats": (_int, "run.repeats"),
+}
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -71,96 +122,47 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:
+            raise CpmFitError(f"config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise CpmFitError("config file must contain a JSON object")
+    unknown = sorted(set(cfg) - set(OPTIONS))
+    if unknown:
+        raise CpmFitError(f"unknown config key(s): {', '.join(unknown)}")
     return cfg
 
 
-def _resolve_seed(args, file_cfg: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in file_cfg:
-        return int(file_cfg["seed"])
-    env = os.environ.get("CPMFIT_SEED")
-    if env is not None:
-        return int(env)
-    return 0
-
-
 def build_configs(args) -> tuple[FitConfig, PredictionConfig, dict]:
-    """Merge defaults, config-file values and command-line flags."""
+    """Merge defaults, config-file values, CPMFIT_SEED and command-line flags."""
     file_cfg = _load_config_file(args.config)
-    fit_kwargs = {}
-    for name in ("de_population", "de_max_iters", "pso_particles", "pso_iters",
-                 "local_max_iters", "objective_tol", "simplex_tol"):
-        if name in file_cfg:
-            fit_kwargs[name] = file_cfg[name]
-    metric = args.metric or file_cfg.get("metric")
-    if metric:
-        fit_kwargs["metric"] = _METRICS[metric]
-    init = args.init or file_cfg.get("init")
-    if init:
-        fit_kwargs["init_strategy"] = _INITS[init]
-    solver = args.solver or file_cfg.get("solver")
-    if solver:
-        fit_kwargs["local_solver"] = _SOLVERS[solver]
-    mode = args.mode or file_cfg.get("mode")
-    if mode:
-        fit_kwargs["mode"] = _MODES[mode]
-    fit_kwargs["seed"] = _resolve_seed(args, file_cfg)
-    fit_cfg = FitConfig(**fit_kwargs)
-
-    pred_kwargs = {}
-    degree = args.degree if args.degree is not None else file_cfg.get("degree")
-    if degree is not None:
-        pred_kwargs["degree"] = int(degree)
-    norm = args.normalize_speed if args.normalize_speed is not None \
-        else file_cfg.get("normalize_speed")
-    if norm is not None:
-        pred_kwargs["normalize_speed"] = _parse_bool(norm)
-    if mode:
-        pred_kwargs["eval_mode"] = _MODES[mode]
-    for name in ("enforce_cur_min", "enforce_nonneg"):
-        if name in file_cfg:
-            pred_kwargs[name] = file_cfg[name]
-    pred_cfg = PredictionConfig(**pred_kwargs)
-
-    extras = {
-        "normalize": _parse_bool(file_cfg.get("normalize", True)),
-        "repeats": args.repeats if args.repeats is not None
-                   else int(file_cfg.get("repeats", 10)),
-    }
-    return fit_cfg, pred_cfg, extras
-
-
-def _parse_bool(v) -> bool:
-    if isinstance(v, bool):
-        return v
-    return str(v).lower() in ("1", "true", "yes", "on")
+    env = {"seed": os.environ.get("CPMFIT_SEED")}
+    kwargs = {"fit": {}, "pred": {}, "run": {"normalize": True, "repeats": 10}}
+    for key, (parse, *targets) in OPTIONS.items():
+        # Flag, else config-file key, else environment, else default.
+        value = next((v for v in (getattr(args, key, None), file_cfg.get(key), env.get(key))
+                      if v is not None), None)
+        if value is None:
+            continue
+        try:
+            value = parse(value)
+        except ValueError as exc:
+            raise CpmFitError(f"{key}: {exc}") from exc
+        for target in targets:
+            obj, field = target.split(".")
+            kwargs[obj][field] = value
+    try:
+        return FitConfig(**kwargs["fit"]), PredictionConfig(**kwargs["pred"]), kwargs["run"]
+    except ValueError as exc:
+        raise CpmFitError(str(exc)) from exc
 
 
 def _load_map(path: str, normalize: bool):
     with open(path) as fh:
         records = parse_map_csv(fh.read())
     cpm = group_speedlines(records, map_id=os.path.basename(path))
-    if normalize:
-        cpm, scale = normalize_map(cpm)
-    else:
-        scale = None
-    return cpm, scale
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+    return normalize_map(cpm)[0] if normalize else cpm
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,7 @@ def _write_artifacts(out: str, artifacts: dict) -> None:
 
 def cmd_fit(args) -> int:
     fit_cfg, _, extras = build_configs(args)
-    cpm, _ = _load_map(args.input, extras["normalize"])
+    cpm = _load_map(args.input, extras["normalize"])
     fits = fit_each_line(cpm.speedlines, fit_cfg)
     rows = []
     beta_rows = []
@@ -195,9 +197,9 @@ def cmd_fit(args) -> int:
                          [_fmt(v) for v in result.beta.as_array()])
         predicted.append((line.speed, result.beta))
     _write_artifacts(args.out, {
-        "fit_results.csv": _csv_text(
+        "fit_results.csv": csv_text(
             ["index", "speed", "objective", "metric", "seed", "status", "flags"], rows),
-        "beta_table.csv": _csv_text(["speed", *BETA_FIELDS], beta_rows),
+        "beta_table.csv": csv_text(["speed", *BETA_FIELDS], beta_rows),
         "curves.svg": export_curve_svg(cpm.speedlines, predicted),
     })
     return EXIT_PARTIAL if any(isinstance(f, CpmFitError) for f in fits) else EXIT_OK
@@ -205,7 +207,7 @@ def cmd_fit(args) -> int:
 
 def cmd_crossval(args) -> int:
     fit_cfg, pred_cfg, extras = build_configs(args)
-    cpm, _ = _load_map(args.input, extras["normalize"])
+    cpm = _load_map(args.input, extras["normalize"])
     if len(cpm.speedlines) < 3:
         print("error: leave-one-out needs >= 3 speedlines", file=sys.stderr)
         return EXIT_ERROR
@@ -241,10 +243,10 @@ def cmd_crossval(args) -> int:
     _write_artifacts(args.out, {
         "report.csv": export_report(reports, "csv", pred_cfg.eval_mode),
         "report.json": export_report(reports, "json", pred_cfg.eval_mode),
-        "summary.csv": _csv_text(
+        "summary.csv": csv_text(
             ["kind", "metric", "n_total", "n_failed", "mean", "sd", "median"], sum_rows),
-        "beta_nodes.csv": _csv_text(["speed", *BETA_FIELDS], node_rows),
-        "beta_poly.csv": _csv_text(["speed", *BETA_FIELDS], poly_rows),
+        "beta_nodes.csv": csv_text(["speed", *BETA_FIELDS], node_rows),
+        "beta_poly.csv": csv_text(["speed", *BETA_FIELDS], poly_rows),
         "curves.svg": export_curve_svg(cpm.speedlines, predicted),
     })
     if any(isinstance(f, CpmFitError) for f in fits) or any(r.status != "ok" for r in reports):
@@ -254,7 +256,7 @@ def cmd_crossval(args) -> int:
 
 def cmd_predict(args) -> int:
     fit_cfg, pred_cfg, extras = build_configs(args)
-    cpm, _ = _load_map(args.input, extras["normalize"])
+    cpm = _load_map(args.input, extras["normalize"])
     target = args.target
 
     if find_speedline(cpm, target) is not None:
@@ -276,14 +278,14 @@ def cmd_predict(args) -> int:
                     for line, fit in zip(cpm.speedlines, fits)
                     if isinstance(fit, CpmFitError)]
     if fit_failures:
-        _write_artifacts(args.out, {"prediction.json": _json_text(
+        _write_artifacts(args.out, {"prediction.json": json_text(
             dict(failed, fit_failures=fit_failures))})
         return EXIT_PARTIAL
     model = fit_beta_polynomials(fit_table(zip(cpm.speedlines, fits)), pred_cfg)
     try:
         beta, repair = predict_beta(model, target, pred_cfg)
     except InvalidPredictionError as exc:
-        _write_artifacts(args.out, {"prediction.json": _json_text(
+        _write_artifacts(args.out, {"prediction.json": json_text(
             dict(failed, raw_values=list(exc.raw_values or [])))})
         return EXIT_PARTIAL
     payload = {
@@ -297,8 +299,8 @@ def cmd_predict(args) -> int:
     }
     pts = sample_curve(beta, 200)
     _write_artifacts(args.out, {
-        "prediction.json": _json_text(payload),
-        "prediction_curve.csv": _csv_text(
+        "prediction.json": json_text(payload),
+        "prediction_curve.csv": csv_text(
             ["m_dot", "pi"], [[_fmt(p.m_dot), _fmt(p.pi)] for p in pts]),
         "curves.svg": export_curve_svg(cpm.speedlines, [(target, beta)]),
     })
@@ -307,17 +309,17 @@ def cmd_predict(args) -> int:
 
 def cmd_bench(args) -> int:
     fit_cfg, _, extras = build_configs(args)
-    cpm, _ = _load_map(args.input, extras["normalize"])
+    cpm = _load_map(args.input, extras["normalize"])
     repeats = extras["repeats"]
     rows = []
     summary = []
     failures = 0
     bases = [fit_cfg.seed + 7919 * r for r in range(repeats)]
-    for strategy in (InitStrategy.NONE, InitStrategy.PSO, InitStrategy.DE):
+    for strategy in InitStrategy:
         # runs[r][i]: repeat r of line i, seeded from the repeat's base seed.
         runs = [fit_each_line(cpm.speedlines, replace(fit_cfg, init_strategy=strategy, seed=b))
                 for b in bases]
-        per_line_obj = {}
+        line_objs = []
         finals = {"rmse": [], "max_err": [], "ortho": []}
         for i, line in enumerate(cpm.speedlines):
             objs = []
@@ -328,34 +330,31 @@ def cmd_bench(args) -> int:
                     rows.append([strategy.value, _fmt(line.speed), r, result.seed,
                                  "", "", "", "FAILED"])
                     continue
-                pm = evaluate_prediction(result.beta, line.points, fit_cfg.mode)
                 m, pi = line.m_array(), line.pi_array()
-                rm = pm[MetricKind.RMSE].mean
-                ortho = pm[MetricKind.ORTHO].mean
-                t_arr, p_arr, _ = _clamped_prediction(result.beta, m, pi, fit_cfg.mode)
-                max_err = float(np.max(np.abs(t_arr - p_arr)))
+                truth, pred, _ = _clamped_prediction(result.beta, m, pi, fit_cfg.mode)
+                rm = _pointwise_summary(truth, pred, MetricKind.RMSE).mean
+                max_err = float(np.max(np.abs(truth - pred)))
+                ortho = ortho_sum(result.beta, (m, pi))
                 rows.append([strategy.value, _fmt(line.speed), r, result.seed,
                              _fmt(rm), _fmt(max_err), _fmt(ortho), "OK"])
                 finals["rmse"].append(rm)
                 finals["max_err"].append(max_err)
                 finals["ortho"].append(ortho)
                 objs.append(result.objective)
-            per_line_obj[line.speed] = objs
+            line_objs.append(objs)
+        sds = [np.std(v, ddof=1) for v in line_objs if len(v) > 1]
+        obj_sd = _fmt(float(np.mean(sds))) if repeats > 1 and sds else ""
         for key, vals in finals.items():
-            arr = np.asarray(vals)
-            if arr.size == 0:
-                continue
-            sds = [np.std(v, ddof=1) for v in per_line_obj.values() if len(v) > 1]
-            obj_sd = _fmt(float(np.mean(sds))) if repeats > 1 and sds else ""
-            summary.append([strategy.value, key, arr.size,
-                            _fmt(float(np.median(arr))), _fmt(float(np.mean(arr))),
-                            _fmt(float(np.max(arr))), obj_sd,
-                            "" if repeats > 1 else "sd_undefined"])
+            if vals:
+                summary.append([strategy.value, key, len(vals),
+                                _fmt(float(np.median(vals))), _fmt(float(np.mean(vals))),
+                                _fmt(float(np.max(vals))), obj_sd,
+                                "" if repeats > 1 else "sd_undefined"])
     _write_artifacts(args.out, {
-        "bench.csv": _csv_text(
+        "bench.csv": csv_text(
             ["strategy", "speed", "repeat", "seed", "rmse", "max_err", "ortho", "status"],
             rows),
-        "bench_summary.csv": _csv_text(
+        "bench_summary.csv": csv_text(
             ["strategy", "quantity", "n", "median", "mean", "max", "objective_sd", "flags"],
             summary),
     })
@@ -377,11 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--metric", choices=sorted(_METRICS))
-        p.add_argument("--init", choices=sorted(_INITS))
-        p.add_argument("--solver", choices=sorted(_SOLVERS))
+        p.add_argument("--metric", choices=_values(OBJECTIVE_KINDS))
+        p.add_argument("--init", choices=_values(InitStrategy))
+        p.add_argument("--solver", choices=_values(LocalSolver))
         p.add_argument("--degree", type=int, default=None)
-        p.add_argument("--mode", choices=sorted(_MODES))
+        p.add_argument("--mode", choices=_values(EvalMode))
         p.add_argument("--normalize-speed", dest="normalize_speed", default=None)
         p.add_argument("--target", type=float, default=None)
         p.add_argument("--repeats", type=int, default=None)

@@ -151,17 +151,22 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
+def csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def json_text(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _report_row(index: int, report: PredictionReport, mode: EvalMode) -> dict:
-    row = {
-        "index": index,
-        "speed": report.target_speed,
-        "kind": report.kind.value.upper(),
-        "rmse_mean": None, "rmse_sd": None,
-        "mape_mean": None, "mape_sd": None,
-        "ortho_mean": None, "ortho_sd": None,
-        "status": report.status.upper(),
-        "flags": flags_string(report),
-    }
+    row = dict.fromkeys(REPORT_COLUMNS)
+    row.update(index=index, speed=report.target_speed, kind=report.kind.value.upper(),
+               status=report.status.upper(), flags=flags_string(report))
     if report.status == "ok":
         summ = report.metrics[mode]
         for key, kind in (("rmse", MetricKind.RMSE), ("mape", MetricKind.MAPE),
@@ -199,28 +204,12 @@ def export_report(reports, fmt: str = "csv", mode: EvalMode = EvalMode.PRESSURE)
         raise CpmFitError("export_report on empty input")
     rows = [_report_row(i, r, mode) for i, r in enumerate(reports)]
     if fmt == "json":
-        clean = []
-        for row in rows:
-            d = dict(row)
-            for k, v in d.items():
-                if isinstance(v, float) and not math.isfinite(v):
-                    d[k] = None
-            clean.append(d)
-        return json.dumps(clean, indent=2, sort_keys=False) + "\n"
+        return json_text([{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                           for k, v in row.items()} for row in rows])
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for row in rows:
-        writer.writerow([
-            row["index"], _fmt(float(row["speed"])), row["kind"],
-            _fmt(row["rmse_mean"]), _fmt(row["rmse_sd"]),
-            _fmt(row["mape_mean"]), _fmt(row["mape_sd"]),
-            _fmt(row["ortho_mean"]), _fmt(row["ortho_sd"]),
-            row["status"], row["flags"],
-        ])
-    return buf.getvalue()
+    return csv_text(REPORT_COLUMNS, [[v if isinstance(v, str) else _fmt(v) for v in row.values()]
+                                     for row in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -203,38 +203,29 @@ def _clamped_prediction(beta: BetaVector, m: np.ndarray, pi: np.ndarray,
     return m, pred, out
 
 
-def _pointwise_summaries(truth: np.ndarray, pred: np.ndarray) -> dict:
-    """RMSE / MAPE / residual-SD summaries over the pairs where both are finite."""
+def _pointwise_summary(truth: np.ndarray, pred: np.ndarray, kind: MetricKind) -> ErrorSummary:
+    """One metric's summary over the pairs where both are finite: RMSE, MAPE, else residual SD."""
     if truth.size == 0:
         raise MetricError("no measured points to evaluate")
     finite = np.isfinite(truth) & np.isfinite(pred)
     nf = not bool(np.all(finite))
     t, p = truth[finite], pred[finite]
     n_bad = int(np.sum(~finite))
-    summaries = {}
-
-    if t.size:
+    if not t.size:
+        return ErrorSummary(math.nan, math.nan, 0, n_bad, True)
+    if kind is MetricKind.RMSE:
         err = np.abs(t - p)
-        summaries[MetricKind.RMSE] = ErrorSummary(
-            rmse(t, p), float(np.std(err, ddof=1)) if err.size > 1 else 0.0,
-            int(t.size), n_bad, nf)
+        return ErrorSummary(rmse(t, p), float(np.std(err, ddof=1)) if err.size > 1 else 0.0,
+                            int(t.size), n_bad, nf)
+    if kind is MetricKind.MAPE:
         try:
             ms = mape(t, p)
-            summaries[MetricKind.MAPE] = ErrorSummary(
-                ms.mean, ms.sd, ms.n_valid, ms.n_skipped + n_bad, nf)
         except UndefinedMetricError:
-            summaries[MetricKind.MAPE] = ErrorSummary(
-                math.nan, math.nan, 0, int(t.size) + n_bad, True)
-        if t.size >= 2:
-            summaries[MetricKind.RESIDUAL_SD] = ErrorSummary(
-                residual_sd(t - p), 0.0, int(t.size), n_bad, nf)
-        else:
-            summaries[MetricKind.RESIDUAL_SD] = ErrorSummary(
-                math.nan, math.nan, int(t.size), n_bad, True)
-    else:
-        for kind in (MetricKind.RMSE, MetricKind.MAPE, MetricKind.RESIDUAL_SD):
-            summaries[kind] = ErrorSummary(math.nan, math.nan, 0, n_bad, True)
-    return summaries
+            return ErrorSummary(math.nan, math.nan, 0, int(t.size) + n_bad, True)
+        return ErrorSummary(ms.mean, ms.sd, ms.n_valid, ms.n_skipped + n_bad, nf)
+    if t.size < 2:
+        return ErrorSummary(math.nan, math.nan, int(t.size), n_bad, True)
+    return ErrorSummary(residual_sd(t - p), 0.0, int(t.size), n_bad, nf)
 
 
 def evaluate_prediction(beta: BetaVector, measured, mode: EvalMode = EvalMode.PRESSURE) -> PredictionMetrics:
@@ -246,7 +237,8 @@ def evaluate_prediction(beta: BetaVector, measured, mode: EvalMode = EvalMode.PR
     """
     m, pi = _points_to_xy(measured)
     truth, pred, out_of_domain = _clamped_prediction(beta, m, pi, mode)
-    summaries = _pointwise_summaries(truth, pred)
+    summaries = {kind: _pointwise_summary(truth, pred, kind)
+                 for kind in (MetricKind.RMSE, MetricKind.MAPE, MetricKind.RESIDUAL_SD)}
     nf = summaries[MetricKind.RMSE].has_nonfinite  # some (truth, pred) pair is not finite
 
     finite = np.isfinite(m) & np.isfinite(pi)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, FitFailureError
-from .metrics import EvalMode, MetricKind, _clamped_prediction, _ortho_d2_batch, _pointwise_summaries
+from .metrics import EvalMode, MetricKind, _clamped_prediction, _ortho_d2_batch, _pointwise_summary
 from .model import CUR_MIN, BetaVector, Speedline, _points_to_xy
 
 PENALTY = 1e12
@@ -148,7 +148,7 @@ def _row_losses(xs: np.ndarray, m: np.ndarray, pi: np.ndarray,
             feasible.append(i)
         else:
             truth, pred, _ = _clamped_prediction(BetaVector.from_array(x), m, pi, mode)
-            losses.append(_pointwise_summaries(truth, pred)[metric].mean)
+            losses.append(_pointwise_summary(truth, pred, metric).mean)
     out = np.array(losses)
     if feasible:
         out[feasible] = np.sum(_ortho_d2_batch(xs[feasible], m, pi), axis=1)

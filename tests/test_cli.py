@@ -296,3 +296,49 @@ class TestBench:
         assert {r[0] for r in summary[1:]} == {"none", "pso", "de"}
         # Single repeat: across-repeat spread is undefined.
         assert all(r[7] == "sd_undefined" for r in summary[1:])
+
+
+BAD_CONFIGS = {
+    "unknown_init": ({"init": "bogus"}, []),
+    "nonpositive_population": ({"de_population": 0}, []),
+    "malformed_json": ("{\"seed\": ", []),
+    "unfittable_metric": ({"metric": "residual_sd"}, []),
+    "unknown_key": ({"de_max_iter": 50}, []),
+    "non_integer_degree": ({"degree": 2.5}, []),
+    "config_bool_spelling": ({"normalize_speed": "maybe"}, []),
+    "flag_bool_spelling": ({}, ["--normalize-speed", "maybe"]),
+}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("config, flags", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+    def test_bad_input_is_one_error_line(self, tmp_path, map_csv, capsys, config, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+        out = tmp_path / "out"
+        rc = main(["fit", str(map_csv), "--config", str(cfg), "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_keys_match_flags(self, tmp_path, map_csv):
+        options = {"metric": "rmse", "init": "none", "solver": "qn", "mode": "massflow",
+                   "degree": 1, "normalize_speed": "false"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(FAST_CONFIG, **options)))
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        (plain / "cfg.json").write_text(json.dumps(FAST_CONFIG))
+        flags = [a for key, v in options.items()
+                 for a in (f"--{key.replace('_', '-')}", str(v))]
+        outs = []
+        for name, argv in (("by_key", ["--config", str(cfg)]),
+                           ("by_flag", ["--config", str(plain / "cfg.json"), *flags])):
+            outs.append(tmp_path / name)
+            rc = main(["predict", str(map_csv), "--target", "400", "--seed", "0",
+                       "--out", str(outs[-1]), *argv])
+            assert rc == 0
+        for name in ("report.csv", "report.json", "curves.svg"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
