@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -153,6 +154,8 @@ def build_configs(args) -> tuple[FitConfig, PredictionConfig, dict]:
             obj, field = target.split(".")
             kwargs[obj][field] = value
     try:
+        if kwargs["run"]["repeats"] < 1:
+            raise ValueError("repeats must be positive")
         return FitConfig(**kwargs["fit"]), PredictionConfig(**kwargs["pred"]), kwargs["run"]
     except ValueError as exc:
         raise CpmFitError(str(exc)) from exc
@@ -186,13 +189,8 @@ def cmd_fit(args) -> int:
         if isinstance(result, CpmFitError):
             rows.append([i, _fmt(line.speed), "", "", "", "FAILED", str(result)])
             continue
-        flags = []
-        if result.used_fallback:
-            flags.append("fallback")
-        if result.underdetermined:
-            flags.append("underdetermined")
-        rows.append([i, _fmt(line.speed), _fmt(result.objective),
-                     result.metric.value, result.seed, "OK", ";".join(flags)])
+        rows.append([i, _fmt(line.speed), _fmt(result.objective), result.metric.value,
+                     result.seed, "OK", "underdetermined" if result.underdetermined else ""])
         beta_rows.append([_fmt(line.speed)] +
                          [_fmt(v) for v in result.beta.as_array()])
         predicted.append((line.speed, result.beta))
@@ -260,6 +258,9 @@ def cmd_predict(args) -> int:
     target = args.target
 
     if find_speedline(cpm, target) is not None:
+        if len(cpm.speedlines) < 3:
+            print("error: hold-out prediction needs >= 3 speedlines", file=sys.stderr)
+            return EXIT_ERROR
         report = holdout_predict(cpm, target, fit_cfg, pred_cfg)
         artifacts = {
             "report.csv": export_report([report], "csv", pred_cfg.eval_mode),
@@ -395,12 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "predict" and args.target is None:
-        print("error: predict requires --target", file=sys.stderr)
+    if args.command == "predict" and (args.target is None or not math.isfinite(args.target)):
+        print("error: predict requires a finite --target", file=sys.stderr)
         return EXIT_ERROR
     try:
         return args.func(args)
-    except (FileNotFoundError, CpmFitError) as exc:
+    except (OSError, CpmFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -32,7 +32,7 @@ class UndefinedMetricError(MetricError):
 
 
 class FitFailureError(CpmFitError):
-    """Both local solvers failed validation.  Carries the best attempt."""
+    """A fit's best candidate scores PENALTY or breaks the bounds or invariants; carries it."""
 
     def __init__(self, message, best_x=None, best_objective=None):
         super().__init__(message)
@@ -41,7 +41,7 @@ class FitFailureError(CpmFitError):
 
 
 class InvalidPredictionError(CpmFitError):
-    """Predicted parameter vector violates ordering invariants after repair.
+    """Predicted parameter vector violates the BetaVector invariants after repair.
 
     Signals physically meaningless extrapolation; ``raw_values`` holds the
     unrepaired polynomial outputs for diagnostics.

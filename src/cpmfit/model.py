@@ -131,6 +131,24 @@ class BetaVector:
         return np.array([self.m_zs, self.pi_zs, self.m_ch, self.pi_ch, self.cur])
 
 
+def _invariant_violation(x: np.ndarray) -> float:
+    """-1.0 when the 5 values form a valid BetaVector, else the total violation magnitude."""
+    if not np.all(np.isfinite(x)):
+        return math.inf
+    v = 0.0
+    bad = False
+    if x[2] <= x[0]:
+        v += x[0] - x[2]
+        bad = True
+    if x[1] <= x[3]:
+        v += x[3] - x[1]
+        bad = True
+    if x[4] < CUR_MIN:
+        v += CUR_MIN - x[4]
+        bad = True
+    return v if bad else -1.0
+
+
 @dataclass(frozen=True)
 class ConicCoefficients:
     """General conic a x^2 + b xy + c y^2 + d x + e y + f = 0, unit-norm scale."""

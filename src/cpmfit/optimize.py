@@ -1,9 +1,9 @@
 """Global and local optimizers plus the multi-stage speedline fitting pipeline.
 
 The pipeline runs an optional population-based global search (differential
-evolution or particle swarm) to seed a derivative-free local refinement,
-with an automatic fallback retry and final bounds/invariant validation.
-All solvers are deterministic for a fixed seed.
+evolution or particle swarm) to seed one local refinement (Nelder-Mead or
+projected gradient descent), keeps the better of the two candidates and
+validates it.  All solvers are deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, FitFailureError
 from .metrics import EvalMode, MetricKind, _clamped_prediction, _ortho_d2_batch, _pointwise_summary
-from .model import CUR_MIN, BetaVector, Speedline, _points_to_xy
+from .model import CUR_MIN, BetaVector, Speedline, _invariant_violation, _points_to_xy
 
 PENALTY = 1e12
 
@@ -100,31 +100,13 @@ class FitResult:
     objective: float
     metric: MetricKind
     stage_trace: tuple[tuple[str, float], ...]
-    used_fallback: bool
+    used_fallback: bool  # always False: no retry stage; perfbench/tracing.py reads it
     seed: int
     underdetermined: bool = False
 
 
 # ---------------------------------------------------------------------------
 # Objective
-
-
-def _invariant_violation(x: np.ndarray) -> float:
-    """0.0 for a valid ordering, otherwise the total violation magnitude."""
-    if not np.all(np.isfinite(x)):
-        return math.inf
-    v = 0.0
-    bad = False
-    if x[2] <= x[0]:
-        v += x[0] - x[2]
-        bad = True
-    if x[1] <= x[3]:
-        v += x[3] - x[1]
-        bad = True
-    if x[4] < CUR_MIN:
-        v += CUR_MIN - x[4]
-        bad = True
-    return v if bad else -1.0
 
 
 def _row_losses(xs: np.ndarray, m: np.ndarray, pi: np.ndarray,
@@ -164,11 +146,6 @@ def objective(beta, points, metric: MetricKind = MetricKind.ORTHO,
     """
     x = beta.as_array() if isinstance(beta, BetaVector) else np.asarray(beta, dtype=float)
     return float(_row_losses(x[None, :], *_points_to_xy(points), metric, mode)[0])
-
-
-def make_objective(points, metric: MetricKind, mode: EvalMode):
-    m, pi = _points_to_xy(points)
-    return lambda x: objective(x, (m, pi), metric, mode)
 
 
 def make_objective_batch(points, metric: MetricKind, mode: EvalMode):
@@ -372,25 +349,22 @@ def default_bounds(points) -> Bounds:
     return Bounds(lo, hi)
 
 
-def _run_local(solver: LocalSolver, f, x0, bounds: Bounds, cfg: FitConfig) -> np.ndarray:
-    if solver is LocalSolver.NELDER_MEAD:
-        return nelder_mead(f, x0, bounds, cfg)
-    return quasi_newton(f, x0, bounds, cfg)
-
-
 def fit_speedline(line: Speedline, cfg: FitConfig | None = None) -> FitResult:
-    """Fit one speedline: global init, local refinement, fallback, validation.
+    """Fit one speedline in two stages, global init then one local refinement, keeping the better.
 
-    Keeps the best candidate seen at every stage, so the objective is
-    non-increasing along the stage trace.  Raises FitFailureError when no
-    stage produces a candidate satisfying bounds and the beta invariants.
+    The objective is non-increasing along the two-entry stage trace.  Raises
+    FitFailureError when the kept candidate scores PENALTY or more, or
+    breaks the bounds or the beta invariants.
     """
     cfg = cfg or FitConfig()
     m, pi = line.m_array(), line.pi_array()
     bounds = default_bounds((m, pi))
-    underdetermined = m.size < 5
-    f = make_objective((m, pi), cfg.metric, cfg.mode)
     fb = make_objective_batch((m, pi), cfg.metric, cfg.mode)
+
+    # objective and the solvers are looked up at call time, so wrappers
+    # installed on this module's globals see every call.
+    def f(x):
+        return objective(x, (m, pi), cfg.metric, cfg.mode)
 
     if cfg.init_strategy is InitStrategy.DE:
         x0 = differential_evolution(f, bounds, cfg, cfg.seed, f_batch=fb)
@@ -403,44 +377,25 @@ def fit_speedline(line: Speedline, cfg: FitConfig | None = None) -> FitResult:
         x0[4] = 2.0
         init_name = "midpoint_init"
     f0 = f(x0)
-    trace = [(init_name, f0)]
-    best_x, best_f = x0, f0
 
-    def attempt(solver: LocalSolver, start, f_start):
-        x1 = bounds.clip(_run_local(solver, f, start, bounds, cfg))
-        f1 = f(x1)
-        failed = (not math.isfinite(f1)) or f1 >= PENALTY or f1 > f_start
-        return x1, f1, failed
+    local = nelder_mead if cfg.local_solver is LocalSolver.NELDER_MEAD else quasi_newton
+    x1 = bounds.clip(local(f, x0, bounds, cfg))
+    f1 = f(x1)
+    best_x, best_f = (x1, f1) if f1 < f0 else (x0, f0)
+    trace = ((init_name, f0), (f"local_{cfg.local_solver.value}", best_f))
 
-    x1, f1, failed = attempt(cfg.local_solver, x0, f0)
-    trace.append((f"local_{cfg.local_solver.value}", min(f1, best_f)))
-    if f1 < best_f:
-        best_x, best_f = x1, f1
-
-    used_fallback = False
-    if failed:
-        used_fallback = True
-        x2, f2, failed2 = attempt(LocalSolver.NELDER_MEAD, best_x, best_f)
-        trace.append(("fallback_nm", min(f2, best_f)))
-        if f2 < best_f:
-            best_x, best_f = x2, f2
-        if failed and failed2 and (not math.isfinite(best_f) or best_f >= PENALTY):
-            raise FitFailureError(
-                f"both solvers failed for speedline {line.speed} "
-                f"(best objective {best_f})",
-                best_x=best_x, best_objective=best_f)
-
-    if not bounds.contains(best_x, tol=1e-9) or _invariant_violation(best_x) >= 0.0:
+    if not best_f < PENALTY or not bounds.contains(best_x, tol=1e-9) \
+            or _invariant_violation(best_x) >= 0.0:
         raise FitFailureError(
-            f"fitted beta violates bounds or invariants for speedline {line.speed}",
+            f"no valid fit for speedline {line.speed} (best objective {best_f})",
             best_x=best_x, best_objective=best_f)
 
     return FitResult(
         beta=BetaVector.from_array(best_x),
         objective=float(best_f),
         metric=cfg.metric,
-        stage_trace=tuple(trace),
-        used_fallback=used_fallback,
+        stage_trace=trace,
+        used_fallback=False,
         seed=cfg.seed,
-        underdetermined=underdetermined,
+        underdetermined=m.size < 5,
     )

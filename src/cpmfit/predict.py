@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CpmFitError, InvalidPredictionError, MetricError
 from .metrics import EvalMode, MetricKind, evaluate_prediction
-from .model import BetaVector, CompressorMap, Speedline, same_speed
+from .model import BetaVector, CompressorMap, Speedline, _invariant_violation, same_speed
 from .optimize import FitConfig, FitResult, fit_speedline
 
 BETA_FIELDS = ("m_zs", "pi_zs", "m_ch", "pi_ch", "cur")
@@ -144,8 +144,8 @@ def predict_beta(model: PolyModel, speed: float, cfg: PredictionConfig) -> tuple
 
     Curvature is raised to cfg.enforce_cur_min and (optionally) the four
     point coordinates are clamped to be non-negative; each clamp sets a
-    flag.  If the repaired vector still violates the ordering invariants
-    an InvalidPredictionError carrying the raw values is raised.
+    flag.  If the repaired vector still breaks a BetaVector invariant an
+    InvalidPredictionError carrying the raw values is raised.
     """
     raw = model.evaluate_raw(speed).ravel()
     vals = raw.copy()
@@ -159,7 +159,7 @@ def predict_beta(model: PolyModel, speed: float, cfg: PredictionConfig) -> tuple
             if vals[j] < 0.0:
                 vals[j] = 0.0
                 nonneg_clamped = True
-    if not np.all(np.isfinite(vals)) or vals[2] <= vals[0] or vals[1] <= vals[3]:
+    if _invariant_violation(vals) >= 0.0:
         raise InvalidPredictionError(
             f"predicted beta at speed {speed} violates ordering invariants",
             raw_values=tuple(float(v) for v in raw))

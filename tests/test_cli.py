@@ -307,6 +307,18 @@ BAD_CONFIGS = {
     "non_integer_degree": ({"degree": 2.5}, []),
     "config_bool_spelling": ({"normalize_speed": "maybe"}, []),
     "flag_bool_spelling": ({}, ["--normalize-speed", "maybe"]),
+    "nonpositive_repeats": ({"repeats": 0}, []),
+}
+
+# Bad command lines other than config values: argv from (tmp_path, map_csv).
+BAD_RUNS = {
+    "zero_repeats": lambda tmp, src: ["bench", src, "--repeats", "0"],
+    "negative_repeats": lambda tmp, src: ["bench", src, "--repeats", "-3"],
+    "holdout_of_two_lines": lambda tmp, src: [
+        "predict", str(write_map_csv(tmp / "two.csv", speeds=(300, 400))), "--target", "400"],
+    "input_is_directory": lambda tmp, src: ["fit", str(tmp)],
+    "nan_target": lambda tmp, src: ["predict", src, "--target", "nan"],
+    "inf_target": lambda tmp, src: ["predict", src, "--target", "inf"],
 }
 
 
@@ -317,6 +329,16 @@ class TestConfigErrors:
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         out = tmp_path / "out"
         rc = main(["fit", str(map_csv), "--config", str(cfg), "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", BAD_RUNS.values(), ids=BAD_RUNS.keys())
+    def test_bad_run_is_one_error_line(self, tmp_path, map_csv, capsys, argv):
+        out = tmp_path / "out"
+        rc = main([*argv(tmp_path, str(map_csv)), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -11,6 +11,7 @@ from cpmfit import (
     DegenerateInputError,
     EvalMode,
     FitConfig,
+    FitFailureError,
     InitStrategy,
     LocalSolver,
     MetricKind,
@@ -225,9 +226,24 @@ class TestFitSpeedline:
         rng = np.random.default_rng(8)
         line = speedline_from_beta(beta, 15, 300.0, noise=0.02, rng=rng)
         for strategy in InitStrategy:
-            res = fit_speedline(line, FitConfig(seed=7, init_strategy=strategy))
-            objs = [v for _, v in res.stage_trace]
-            assert all(a >= b - 1e-15 for a, b in zip(objs, objs[1:]))
+            for solver in LocalSolver:
+                res = fit_speedline(line, FitConfig(seed=7, init_strategy=strategy,
+                                                    local_solver=solver))
+                objs = [v for _, v in res.stage_trace]
+                assert all(a >= b - 1e-15 for a, b in zip(objs, objs[1:]))
+                assert len(res.stage_trace) == 2
+                assert res.used_fallback is False
+
+    def test_undefined_objective_is_fit_failure(self):
+        # Every pi is below the MAPE threshold, so MAPE is undefined for
+        # every candidate and each one scores PENALTY.
+        pts = tuple(OperatingPoint(m, p) for m, p in
+                    zip((0.1, 0.2, 0.3, 0.4), (3e-13, 2e-13, 1e-13, 5e-14)))
+        for solver in LocalSolver:
+            cfg = FitConfig(metric=MetricKind.MAPE, local_solver=solver)
+            with pytest.raises(FitFailureError) as exc:
+                fit_speedline(Speedline(300.0, pts), cfg)
+            assert exc.value.best_objective == PENALTY
 
     def test_result_beta_always_valid(self):
         rng = np.random.default_rng(13)

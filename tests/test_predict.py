@@ -116,6 +116,16 @@ class TestPredictBeta:
         assert exc.value.raw_values is not None
         assert len(exc.value.raw_values) == 5
 
+    def test_cur_below_floor_after_repair_raises_with_raw_values(self):
+        # A repair floor under CUR_MIN leaves the extrapolated cur = 1.0 as is;
+        # that breaks the BetaVector invariants like a bad ordering does.
+        t = BetaTable(((300.0, BetaVector(0.1, 2.0, 1.0, 1.1, 1.6), None),
+                       (400.0, BetaVector(0.1, 2.0, 1.0, 1.1, 1.3), None)))
+        cfg = PredictionConfig(degree=1, enforce_cur_min=0.5)
+        with pytest.raises(InvalidPredictionError) as exc:
+            predict_beta(fit_beta_polynomials(t, cfg), 500.0, cfg)
+        assert exc.value.raw_values[4] == pytest.approx(1.0)
+
 
 class TestClassify:
     def test_interior(self):
