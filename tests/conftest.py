@@ -6,7 +6,11 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from cpmfit import BetaVector, CompressorMap, OperatingPoint, Speedline, sample_curve
-from cpmfit.model import curve_xy
+from cpmfit.metrics import GRID_SIZE
+from cpmfit.model import _curve_xy_raw, curve_xy
+
+GOLDEN_TOL = 1e-10
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def brute_force_nearest_d2(beta, point, n=100_000, refine=True):
@@ -39,6 +43,39 @@ def brute_force_nearest_d2(beta, point, n=100_000, refine=True):
     return min(best, float(d2[0]), float(d2[-1]))
 
 
+def golden_nearest_d2(bmat, m, pi):
+    """Reference projection: (B, N) d2 by grid bracketing and golden-section search.
+
+    The former library kernel, kept for comparison.  The argmin cell pair of
+    the GRID_SIZE-node parameter grid and both end cells are each narrowed
+    below GOLDEN_TOL in t, then the best of the three and the exact
+    endpoints is kept.
+    """
+    n, nb = m.size, bmat.shape[0]
+    tg = np.linspace(0.0, math.pi / 2.0, GRID_SIZE)
+    cx, cy = _curve_xy_raw(bmat, tg[None, :])
+    idx = np.argmin((cx[:, :, None] - m) ** 2 + (cy[:, :, None] - pi) ** 2, axis=1)
+    a = np.concatenate([tg[np.maximum(idx - 1, 0)], np.zeros((nb, n)),
+                        np.full((nb, n), tg[-2])], axis=1)
+    b = np.concatenate([tg[np.minimum(idx + 1, GRID_SIZE - 1)], np.full((nb, n), tg[1]),
+                        np.full((nb, n), tg[-1])], axis=1)
+    mm, pp = np.tile(m, 3), np.tile(pi, 3)
+    iters = math.ceil(math.log(GOLDEN_TOL / (math.pi / (GRID_SIZE - 1))) / math.log(_INVPHI))
+    for _ in range(iters):
+        h = b - a
+        x1, x2 = b - _INVPHI * h, a + _INVPHI * h
+        gx, gy = _curve_xy_raw(bmat, np.concatenate([x1, x2], axis=1))
+        g = (gx - np.tile(mm, 2)) ** 2 + (gy - np.tile(pp, 2)) ** 2
+        left = g[:, :3 * n] < g[:, 3 * n:]
+        b = np.where(left, x2, b)
+        a = np.where(left, a, x1)
+    cand = np.concatenate([0.5 * (a + b), np.zeros((nb, n)), np.full((nb, n), math.pi / 2.0)],
+                          axis=1)
+    gx, gy = _curve_xy_raw(bmat, cand)
+    d2 = (gx - np.tile(m, 5)) ** 2 + (gy - np.tile(pi, 5)) ** 2
+    return d2.reshape(nb, 5, n).min(axis=1)
+
+
 def speedline_from_beta(beta, n_points, speed, noise=0.0, rng=None, trim=0.0):
     """Sample a synthetic measured speedline from a known beta (the oracle).
 
@@ -59,6 +96,14 @@ def speedline_from_beta(beta, n_points, speed, noise=0.0, rng=None, trim=0.0):
     order = np.argsort(m)
     return Speedline(speed, tuple(
         OperatingPoint(float(m[i]), float(pi[i])) for i in order))
+
+
+def point_near_box(rng, beta, size=None, margin=0.3):
+    """(m, pi) drawn uniformly from the curve's box widened by margin of its span on every side."""
+    dm = beta.m_ch - beta.m_zs
+    dpi = beta.pi_zs - beta.pi_ch
+    return (rng.uniform(beta.m_zs - margin * dm, beta.m_ch + margin * dm, size),
+            rng.uniform(beta.pi_ch - margin * dpi, beta.pi_zs + margin * dpi, size))
 
 
 def random_beta(rng, cur_range=(2.0, 5.0)):

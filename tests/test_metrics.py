@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_nearest_d2, random_beta
+from conftest import brute_force_nearest_d2, golden_nearest_d2, point_near_box, random_beta
 from cpmfit import (
     BetaVector,
     EvalMode,
@@ -20,6 +20,7 @@ from cpmfit import (
     rmse,
     sample_curve,
 )
+from cpmfit.metrics import _ortho_d2_batch
 
 
 class TestRmse:
@@ -102,12 +103,43 @@ class TestNearestPoint:
         rng = np.random.default_rng(11)
         for _ in range(50):
             beta = random_beta(rng)
-            dm = beta.m_ch - beta.m_zs
-            dpi = beta.pi_zs - beta.pi_ch
-            p = OperatingPoint(rng.uniform(beta.m_zs - 0.3 * dm, beta.m_ch + 0.3 * dm),
-                               rng.uniform(beta.pi_ch - 0.3 * dpi, beta.pi_zs + 0.3 * dpi))
+            p = OperatingPoint(*point_near_box(rng, beta))
             _, d2 = nearest_point_on_curve(beta, p)
             assert d2 == pytest.approx(brute_force_nearest_d2(beta, p), abs=1e-8)
+
+    def test_below_brute_force_for_every_curvature(self):
+        # cur over the whole fitting box; one-sided, because for large cur
+        # the scan in t cannot resolve the ends of the curve.
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            beta = random_beta(rng, cur_range=(1.05, 20.0))
+            p = OperatingPoint(*point_near_box(rng, beta))
+            _, d2 = nearest_point_on_curve(beta, p)
+            assert d2 <= brute_force_nearest_d2(beta, p) + 1e-8
+
+    @pytest.mark.parametrize("beta, point", [
+        ((0.197, 3.2149, 0.9399, 1.2812, 1.5293), (0.6316, 1.2807)),
+        ((0.0437, 3.2243, 0.893, 1.265, 1.5948), (0.4999, 1.2646)),
+        ((0.2016, 2.9743, 0.675, 1.2463, 1.642), (0.0903, 1.2461)),
+    ])
+    def test_minimum_behind_a_minimum_at_choke(self, beta, point):
+        # cur < 2 and a point just below choke, inside the box: the distance
+        # rises from the choke end, falls and rises again within the first
+        # grid cells, so the nearest point lies past a local minimum at t = 0.
+        beta, p = BetaVector(*beta), OperatingPoint(*point)
+        _, d2 = nearest_point_on_curve(beta, p)
+        assert d2 <= brute_force_nearest_d2(beta, p) + 1e-10
+        assert d2 < (beta.m_ch - p.m_dot) ** 2 + (beta.pi_ch - p.pi) ** 2 - 1e-7
+
+    def test_never_worse_than_golden_section(self):
+        # 6,000 pairs, cur over the whole fitting box, points up to 30%
+        # outside the curve's box, against the former golden-section kernel.
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            beta = random_beta(rng, cur_range=(1.05, 20.0))
+            m, pi = point_near_box(rng, beta, size=20)
+            bmat = beta.as_array()[None, :]
+            assert np.all(_ortho_d2_batch(bmat, m, pi) <= golden_nearest_d2(bmat, m, pi) + 1e-12)
 
 
 class TestOrthoSum:

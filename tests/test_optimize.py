@@ -250,8 +250,12 @@ class TestFitSpeedline:
         for i in range(5):
             beta = random_beta(rng)
             line = speedline_from_beta(beta, 10, 300.0, noise=0.05, rng=rng)
-            res = fit_speedline(line, FitConfig(seed=i))
-            assert isinstance(res.beta, BetaVector)  # constructor enforces invariants
+            for strategy in InitStrategy:
+                for solver in LocalSolver:
+                    res = fit_speedline(line, FitConfig(seed=i, init_strategy=strategy,
+                                                        local_solver=solver, local_max_iters=100))
+                    assert isinstance(res.beta, BetaVector)  # constructor enforces invariants
+                    assert default_bounds(line.points).contains(res.beta.as_array())
 
     def test_quasi_newton_solver_path(self):
         beta = BetaVector(0.1, 2.5, 0.9, 1.2, 3.0)
