@@ -3,7 +3,9 @@
 The pipeline runs an optional population-based global search (differential
 evolution or particle swarm) to seed one local refinement (Nelder-Mead or
 projected gradient descent), keeps the better of the two candidates and
-validates it.  All solvers are deterministic for a fixed seed.
+validates it.  After differential evolution, Nelder-Mead's first simplex
+spans DE's final population instead of a fixed fraction of the box.  All
+solvers are deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -24,6 +26,10 @@ DE_CR = 0.9
 PSO_OMEGA = 0.729
 PSO_C1 = 1.494
 PSO_C2 = 1.494
+# Nelder-Mead's default first step, and the least step of a simplex spanning
+# a DE population, each a fraction of the bound span per coordinate.
+NM_STEP = 0.05
+NM_STEP_FLOOR = 1e-9
 
 CUR_UPPER = 20.0
 
@@ -92,6 +98,8 @@ class FitConfig:
                      "pso_iters", "local_max_iters"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.de_population < 4:
+            raise ValueError("de_population must be at least 4 (3 donors besides each member)")
 
 
 @dataclass(frozen=True)
@@ -185,23 +193,39 @@ def _batch_eval(f, f_batch, xs: np.ndarray) -> np.ndarray:
     return np.array([f(x) for x in xs])
 
 
+def _de_trials(rng, pop: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """One generation of DE/rand/1/bin trials with their donors (npop, 3) and crossover mask.
+
+    Member i's donors are the first three of a random permutation of the
+    other members; its mutant is reflected into the box; one gene is forced.
+    """
+    npop, dim = pop.shape
+    donors = np.argsort(rng.random((npop, npop - 1)), axis=1)[:, :3]
+    donors += donors >= np.arange(npop)[:, None]
+    r1, r2, r3 = donors.T
+    mutants = _reflect_into(pop[r1] + DE_F * (pop[r2] - pop[r3]), lo, hi)
+    cross = rng.random((npop, dim)) < DE_CR
+    cross[np.arange(npop), rng.integers(dim, size=npop)] = True
+    return np.where(cross, mutants, pop), donors, cross
+
+
 def differential_evolution(f, bounds: Bounds, cfg: FitConfig, seed: int,
-                           f_batch=None) -> np.ndarray:
-    """DE/rand/1/bin with F=0.8, CR=0.9 and reflection at the box edges."""
+                           f_batch=None, final_population=None) -> np.ndarray:
+    """DE/rand/1/bin with F=0.8, CR=0.9 and reflection at the box edges.
+
+    A trial replaces its member when it scores no worse.  The search stops
+    when the spread of the population's objective values is at most
+    objective_tol (relative to the best value when that exceeds 1), or after
+    de_max_iters generations, and returns the best member.  When given,
+    ``final_population`` (an array of shape (de_population, 5)) receives the
+    final population, whose range tells a local solver the scale reached.
+    """
     rng = np.random.default_rng(seed)
     lo, hi = bounds.lower, bounds.upper
-    npop, dim = cfg.de_population, lo.size
-    pop = rng.uniform(lo, hi, size=(npop, dim))
+    pop = rng.uniform(lo, hi, size=(cfg.de_population, lo.size))
     fit = _batch_eval(f, f_batch, pop)
     for _ in range(cfg.de_max_iters):
-        trials = np.empty_like(pop)
-        for i in range(npop):
-            r1, r2, r3 = rng.choice(npop - 1, size=3, replace=False)
-            r1, r2, r3 = (r + (r >= i) for r in (r1, r2, r3))
-            mutant = _reflect_into(pop[r1] + DE_F * (pop[r2] - pop[r3]), lo, hi)
-            cross = rng.random(dim) < DE_CR
-            cross[rng.integers(dim)] = True
-            trials[i] = np.where(cross, mutant, pop[i])
+        trials, _, _ = _de_trials(rng, pop, lo, hi)
         ft = _batch_eval(f, f_batch, trials)
         accept = ft <= fit
         pop[accept] = trials[accept]
@@ -209,6 +233,8 @@ def differential_evolution(f, bounds: Bounds, cfg: FitConfig, seed: int,
         spread = float(np.max(fit) - np.min(fit))
         if spread <= max(cfg.objective_tol, cfg.objective_tol * abs(float(np.min(fit)))):
             break
+    if final_population is not None:
+        final_population[...] = pop
     return pop[int(np.argmin(fit))].copy()
 
 
@@ -248,20 +274,21 @@ def particle_swarm(f, bounds: Bounds, cfg: FitConfig, seed: int,
 # Local solvers
 
 
-def nelder_mead(f, x0, bounds: Bounds, cfg: FitConfig) -> np.ndarray:
+def nelder_mead(f, x0, bounds: Bounds, cfg: FitConfig, step=None) -> np.ndarray:
     """Standard Nelder-Mead simplex (1, 2, 0.5, 0.5 coefficients).
 
-    The initial simplex perturbs x0 componentwise by 5% of the bound span;
-    out-of-bounds vertices are handled by the objective's penalty.
+    The initial simplex perturbs x0 componentwise by ``step`` (by default
+    NM_STEP, 5%, of the bound span; after DE the pipeline passes the range of
+    DE's final population), inward where the outward step would leave the
+    box; later out-of-bounds vertices are handled by the objective's penalty.
     """
     fb = _bounded(f, bounds)
     x0 = np.asarray(x0, dtype=float)
     dim = x0.size
-    step = 0.05 * bounds.span()
+    step = NM_STEP * bounds.span() if step is None else np.asarray(step, dtype=float)
     simplex = [x0.copy()]
     for j in range(dim):
         v = x0.copy()
-        # Step inward when the outward step would leave the box.
         v[j] += step[j] if v[j] + step[j] <= bounds.upper[j] else -step[j]
         simplex.append(v)
     simplex = np.array(simplex)
@@ -349,6 +376,19 @@ def default_bounds(points) -> Bounds:
     return Bounds(lo, hi)
 
 
+def _de_start(f, bounds: Bounds, cfg: FitConfig, f_batch):
+    """DE's best member and a first Nelder-Mead step spanning DE's final population.
+
+    The step per coordinate is the population's peak-to-peak range, clipped
+    to [NM_STEP_FLOOR, NM_STEP] times the bound span: never larger than the
+    default step, and never zero where a coordinate has collapsed.
+    """
+    pop = np.empty((cfg.de_population, bounds.lower.size))
+    x0 = differential_evolution(f, bounds, cfg, cfg.seed, f_batch=f_batch, final_population=pop)
+    span = bounds.span()
+    return x0, np.clip(np.ptp(pop, axis=0), NM_STEP_FLOOR * span, NM_STEP * span)
+
+
 def fit_speedline(line: Speedline, cfg: FitConfig | None = None) -> FitResult:
     """Fit one speedline in two stages, global init then one local refinement, keeping the better.
 
@@ -365,8 +405,9 @@ def fit_speedline(line: Speedline, cfg: FitConfig | None = None) -> FitResult:
     def f(x):
         return objective(x, (m, pi), cfg.metric, cfg.mode)
 
+    step = None  # Nelder-Mead's default
     if cfg.init_strategy is InitStrategy.DE:
-        x0 = differential_evolution(f, bounds, cfg, cfg.seed, f_batch=fb)
+        x0, step = _de_start(f, bounds, cfg, fb)
         init_name = "de_init"
     elif cfg.init_strategy is InitStrategy.PSO:
         x0 = particle_swarm(f, bounds, cfg, cfg.seed, f_batch=fb)
@@ -377,8 +418,11 @@ def fit_speedline(line: Speedline, cfg: FitConfig | None = None) -> FitResult:
         init_name = "midpoint_init"
     f0 = f(x0)
 
-    local = nelder_mead if cfg.local_solver is LocalSolver.NELDER_MEAD else quasi_newton
-    x1 = bounds.clip(local(f, x0, bounds, cfg))
+    if cfg.local_solver is LocalSolver.NELDER_MEAD:
+        x1 = nelder_mead(f, x0, bounds, cfg, step)
+    else:
+        x1 = quasi_newton(f, x0, bounds, cfg)
+    x1 = bounds.clip(x1)
     f1 = f(x1)
     best_x, best_f = (x1, f1) if f1 < f0 else (x0, f0)
     trace = ((init_name, f0), (f"local_{cfg.local_solver.value}", best_f))

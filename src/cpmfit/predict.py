@@ -178,9 +178,12 @@ def classify(target_speed: float, remaining_speeds) -> PredictionKind:
 
 
 def _line_seed(base_seed: int, speed: float) -> int:
-    # Stable per-line seed, independent of which line was held out.
-    h = hash((base_seed, round(float(speed), 9)))
-    return h & 0x7FFFFFFF
+    # Stable per-line seed, independent of which line was held out and of
+    # the interpreter: a SeedSequence over the base seed (mod 2**64, so a
+    # negative one works) and the IEEE bits of the speed rounded to 9 places.
+    bits = int(np.float64(round(float(speed), 9)).view(np.uint64))
+    state = np.random.SeedSequence([base_seed % 2**64, bits]).generate_state(1)
+    return int(state[0]) & 0x7FFFFFFF
 
 
 def fit_each_line(lines, fit_cfg: FitConfig) -> list[FitResult | CpmFitError]:

@@ -301,6 +301,7 @@ class TestBench:
 BAD_CONFIGS = {
     "unknown_init": ({"init": "bogus"}, []),
     "nonpositive_population": ({"de_population": 0}, []),
+    "population_below_four": ({"de_population": 3}, []),
     "malformed_json": ("{\"seed\": ", []),
     "unfittable_metric": ({"metric": "residual_sd"}, []),
     "unknown_key": ({"de_max_iter": 50}, []),

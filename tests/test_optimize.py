@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_beta, speedline_from_beta
 from cpmfit import (
@@ -26,8 +28,17 @@ from cpmfit import (
     particle_swarm,
     sample_curve,
 )
+from cpmfit import optimize
 from cpmfit.model import CUR_MIN
-from cpmfit.optimize import PENALTY, make_objective_batch, quasi_newton
+from cpmfit.optimize import (
+    NM_STEP,
+    NM_STEP_FLOOR,
+    PENALTY,
+    _de_start,
+    _de_trials,
+    make_objective_batch,
+    quasi_newton,
+)
 
 BOX5 = Bounds(np.array([-5.0, -5, -5, -5, 1.05]), np.array([5.0, 5, 5, 5, 5.0]))
 
@@ -125,6 +136,34 @@ class TestDifferentialEvolution:
                       for s in range(20))
         assert float(np.median(vals)) < 1e-2
 
+    @settings(max_examples=100, deadline=None)
+    @given(npop=st.integers(4, 40), seed=st.integers(0, 2**32 - 1),
+           collapsed=st.integers(-1, 4))
+    def test_trial_step(self, npop, seed, collapsed):
+        # Members anywhere in the box, so mutants leave it by up to 80% of
+        # the span and need the reflection; one coordinate may be collapsed.
+        rng = np.random.default_rng(seed)
+        pop = rng.uniform(BOX5.lower, BOX5.upper, size=(npop, 5))
+        if collapsed >= 0:
+            pop[:, collapsed] = pop[0, collapsed]
+        trials, donors, cross = _de_trials(rng, pop, BOX5.lower, BOX5.upper)
+        assert trials.shape == pop.shape and donors.shape == (npop, 3)
+        for i, row in enumerate(donors):
+            assert len(set(row.tolist())) == 3 and i not in row
+            assert all(0 <= r < npop for r in row)
+        assert np.all(cross.any(axis=1))
+        assert np.array_equal(trials[~cross], pop[~cross])
+        assert np.all((trials >= BOX5.lower) & (trials <= BOX5.upper))
+
+    def test_final_population(self):
+        cfg = replace(FitConfig(), de_max_iters=30)
+        pop = np.full((cfg.de_population, 5), np.nan)
+        x = differential_evolution(sphere, BOX5, cfg, seed=4, final_population=pop)
+        assert all(BOX5.contains(row) for row in pop)
+        assert any(np.array_equal(x, row) for row in pop)
+        assert sphere(x) == min(sphere(row) for row in pop)
+        np.testing.assert_array_equal(x, differential_evolution(sphere, BOX5, cfg, seed=4))
+
 
 class TestParticleSwarm:
     def test_sphere(self):
@@ -169,6 +208,47 @@ class TestNelderMead:
         bounds = Bounds(np.array([-4.0, -4, -4, -4, 1.05]), np.array([4.0, 4, 4, 4, 4.0]))
         x = quasi_newton(f, np.zeros(5) + 0.5, bounds, FitConfig())
         np.testing.assert_allclose(x, [1, 1, 1, 1, 1.05], atol=1e-4)
+
+    def test_simplex_from_collapsed_population(self, monkeypatch):
+        # A DE population collapsed in coordinate 2 still gives that
+        # coordinate a positive first step, and NM moves along it.
+        target = np.array([1.0, 1, 1, 1, 2.0])
+        f = lambda x: float(np.sum((np.asarray(x) - target) ** 2))
+        bounds = Bounds(np.array([-4.0, -4, -4, -4, 1.05]), np.array([4.0, 4, 4, 4, 4.0]))
+        pop = target + np.random.default_rng(3).uniform(-1e-4, 1e-4, size=(15, 5))
+        pop[:, 2] = 0.5
+
+        def fake_de(f, bounds, cfg, seed, f_batch=None, final_population=None):
+            final_population[...] = pop
+            return pop[0].copy()
+
+        monkeypatch.setattr(optimize, "differential_evolution", fake_de)
+        x0, step = _de_start(f, bounds, FitConfig(), None)
+        np.testing.assert_array_equal(x0, pop[0])
+        assert step[2] == NM_STEP_FLOOR * bounds.span()[2]
+        assert np.all(step <= NM_STEP * bounds.span())
+        x = nelder_mead(f, x0, bounds, FitConfig(), step)
+        np.testing.assert_allclose(x, target, atol=1e-6)
+
+    def test_de_hand_off_saves_evaluations(self, monkeypatch):
+        # On a noiseless line, fit_speedline's NM stage after DE needs far
+        # fewer objective calls than the same start with the default 5% step.
+        line = speedline_from_beta(BetaVector(0.1, 2.5, 0.9, 1.2, 3.0), 20, 400.0)
+        runs = []
+
+        def counted(f, x0, bounds, cfg, step=None):
+            calls = []
+            x = nelder_mead(lambda x: calls.append(x) or f(x), x0, bounds, cfg, step)
+            runs.append((len(calls), f, x0, bounds, cfg))
+            return x
+
+        monkeypatch.setattr(optimize, "nelder_mead", counted)
+        res = fit_speedline(line, FitConfig(seed=1))
+        [(handed_off, f, x0, bounds, cfg)] = runs
+        calls = []
+        nelder_mead(lambda x: calls.append(x) or f(x), x0, bounds, cfg)
+        assert handed_off * 4 <= len(calls)
+        assert res.objective < 1e-6
 
 
 class TestDefaultBounds:

@@ -21,6 +21,7 @@ from cpmfit import (
     loo_crossval,
     predict_beta,
 )
+from cpmfit.predict import _line_seed
 
 FAST_FIT = FitConfig(de_max_iters=300, seed=0)
 
@@ -42,6 +43,17 @@ LAWS = {
     3: (1.1, 0.3, 0.1),
     4: (3.0, 0.5),
 }
+
+
+class TestLineSeed:
+    def test_pinned_values(self):
+        # Derived from the base seed and the speed's IEEE bits, not from the
+        # interpreter's hash, so these hold in every Python process.
+        assert _line_seed(0, 500.0) == 1550128009
+        assert _line_seed(1, 500.0) == 358072468
+        assert _line_seed(-1, 300.0) == 174560319
+        # Speeds equal after rounding to 9 places share a seed.
+        assert _line_seed(0, 500.0 + 1e-10) == _line_seed(0, 500.0)
 
 
 class TestBetaTable:
