@@ -30,7 +30,7 @@ from .dataio import (
 from .errors import CpmFitError, InvalidPredictionError
 from .metrics import EvalMode, MetricKind, _clamped_prediction, _pointwise_summary, ortho_sum
 from .model import sample_curve
-from .optimize import FitConfig, InitStrategy, LocalSolver
+from .optimize import FIT_METRICS, FitConfig, InitStrategy, LocalSolver
 from .predict import (
     BETA_FIELDS,
     PredictionConfig,
@@ -48,21 +48,12 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_PARTIAL = 2
 
-# Residual SD is reported, never fitted: the one exclusion from MetricKind.
-OBJECTIVE_KINDS = tuple(k for k in MetricKind if k is not MetricKind.RESIDUAL_SD)
 TRUE_WORDS = ("1", "true", "yes", "on")
 FALSE_WORDS = ("0", "false", "no", "off")
 
 
 def _values(members) -> list[str]:
     return sorted(m.value for m in members)
-
-
-def _fit_metric(value) -> MetricKind:
-    kind = MetricKind(value)
-    if kind not in OBJECTIVE_KINDS:
-        raise ValueError(f"{value!r} is not one of {', '.join(_values(OBJECTIVE_KINDS))}")
-    return kind
 
 
 def _bool(value) -> bool:
@@ -85,7 +76,7 @@ _int, _float = _spelled(int), _spelled(float)
 # of the same name parses through the same entry.
 OPTIONS = {
     "seed": (_int, "fit.seed"),
-    "metric": (_fit_metric, "fit.metric"),
+    "metric": (MetricKind, "fit.metric"),
     "init": (InitStrategy, "fit.init_strategy"),
     "solver": (LocalSolver, "fit.local_solver"),
     "mode": (EvalMode, "fit.mode", "pred.eval_mode"),
@@ -97,9 +88,6 @@ OPTIONS = {
     "objective_tol": (_float, "fit.objective_tol"),
     "simplex_tol": (_float, "fit.simplex_tol"),
     "degree": (_int, "pred.degree"),
-    "normalize_speed": (_bool, "pred.normalize_speed"),
-    "enforce_cur_min": (_float, "pred.enforce_cur_min"),
-    "enforce_nonneg": (_bool, "pred.enforce_nonneg"),
     "normalize": (_bool, "run.normalize"),
     "repeats": (_int, "run.repeats"),
 }
@@ -284,7 +272,7 @@ def cmd_predict(args) -> int:
         return EXIT_PARTIAL
     model = fit_beta_polynomials(fit_table(zip(cpm.speedlines, fits)), pred_cfg)
     try:
-        beta, repair = predict_beta(model, target, pred_cfg)
+        beta, repair = predict_beta(model, target)
     except InvalidPredictionError as exc:
         _write_artifacts(args.out, {"prediction.json": json_text(
             dict(failed, raw_values=list(exc.raw_values or [])))})
@@ -295,7 +283,6 @@ def cmd_predict(args) -> int:
         "no_ground_truth": True,
         "beta": dict(zip(BETA_FIELDS, (float(v) for v in beta.as_array()))),
         "flags": {"cur_clamped": repair.cur_clamped,
-                  "nonneg_clamped": repair.nonneg_clamped,
                   "degree_reduced": repair.degree_reduced},
     }
     pts = sample_curve(beta, 200)
@@ -377,12 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--metric", choices=_values(OBJECTIVE_KINDS))
+        p.add_argument("--metric", choices=_values(FIT_METRICS))
         p.add_argument("--init", choices=_values(InitStrategy))
         p.add_argument("--solver", choices=_values(LocalSolver))
         p.add_argument("--degree", type=int, default=None)
         p.add_argument("--mode", choices=_values(EvalMode))
-        p.add_argument("--normalize-speed", dest="normalize_speed", default=None)
         p.add_argument("--target", type=float, default=None)
         p.add_argument("--repeats", type=int, default=None)
 

@@ -180,8 +180,6 @@ def flags_string(report: PredictionReport) -> str:
     parts = []
     if report.repair.cur_clamped:
         parts.append("cur_clamped")
-    if report.repair.nonneg_clamped:
-        parts.append("nonneg_clamped")
     if report.repair.degree_reduced:
         parts.append("degree_reduced")
     if report.out_of_domain:

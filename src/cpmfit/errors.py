@@ -32,7 +32,7 @@ class UndefinedMetricError(MetricError):
 
 
 class FitFailureError(CpmFitError):
-    """A fit's best candidate scores PENALTY or breaks the bounds or invariants; carries it."""
+    """A fit's best candidate scores PENALTY or more; carries it and its objective."""
 
     def __init__(self, message, best_x=None, best_objective=None):
         super().__init__(message)
@@ -41,10 +41,10 @@ class FitFailureError(CpmFitError):
 
 
 class InvalidPredictionError(CpmFitError):
-    """Predicted parameter vector violates the BetaVector invariants after repair.
+    """Predicted parameter vector violates the BetaVector invariants.
 
     Signals physically meaningless extrapolation; ``raw_values`` holds the
-    unrepaired polynomial outputs for diagnostics.
+    polynomial outputs, before curvature is raised to CUR_MIN, for diagnostics.
     """
 
     def __init__(self, message, raw_values=None):

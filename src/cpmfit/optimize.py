@@ -33,6 +33,10 @@ NM_STEP_FLOOR = 1e-9
 
 CUR_UPPER = 20.0
 
+# Residual SD is reported, never fitted: its loss is flat along a common
+# shift of pi_zs and pi_ch.  Every other metric can be a fit's objective.
+FIT_METRICS = tuple(k for k in MetricKind if k is not MetricKind.RESIDUAL_SD)
+
 
 class InitStrategy(enum.Enum):
     NONE = "none"
@@ -100,6 +104,9 @@ class FitConfig:
                 raise ValueError(f"{name} must be positive")
         if self.de_population < 4:
             raise ValueError("de_population must be at least 4 (3 donors besides each member)")
+        if self.metric not in FIT_METRICS:
+            raise ValueError(f"metric {self.metric.value!r} is not fittable; use one of "
+                             f"{', '.join(sorted(k.value for k in FIT_METRICS))}")
 
 
 @dataclass(frozen=True)

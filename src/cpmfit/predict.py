@@ -2,8 +2,8 @@
 
 Each of the five beta components is fitted with an independent polynomial
 (degree 4 by default, automatically reduced when data are scarce) over
-optionally normalized speed; the polynomials are evaluated at the target
-speed and the result is repaired to satisfy the physical constraints.
+speed scaled to [0, 1]; the polynomials are evaluated at the target speed
+and the result must pass the same validity rule as a fitted beta.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CpmFitError, InvalidPredictionError, MetricError
 from .metrics import EvalMode, MetricKind, evaluate_prediction
-from .model import BetaVector, CompressorMap, Speedline, _invariant_violation, same_speed
+from .model import CUR_MIN, BetaVector, CompressorMap, Speedline, _invariant_violation, same_speed
 from .optimize import FitConfig, FitResult, fit_speedline
 
 BETA_FIELDS = ("m_zs", "pi_zs", "m_ch", "pi_ch", "cur")
@@ -53,9 +53,6 @@ class BetaTable:
 @dataclass(frozen=True)
 class PredictionConfig:
     degree: int = 4
-    normalize_speed: bool = True
-    enforce_cur_min: float = 2.0
-    enforce_nonneg: bool = True
     eval_mode: EvalMode = EvalMode.PRESSURE
 
     def __post_init__(self):
@@ -70,14 +67,11 @@ class PolyModel:
     coeffs: tuple[tuple[float, ...], ...]  # 5 x (degree+1), ascending powers
     speed_min: float
     speed_max: float
-    normalized: bool
     degree: int
     degree_reduced: bool
 
     def _scale(self, speed) -> np.ndarray:
         s = np.asarray(speed, dtype=float)
-        if not self.normalized:
-            return s
         return (s - self.speed_min) / (self.speed_max - self.speed_min)
 
     def evaluate_raw(self, speed) -> np.ndarray:
@@ -89,7 +83,6 @@ class PolyModel:
 @dataclass(frozen=True)
 class RepairFlags:
     cur_clamped: bool = False
-    nonneg_clamped: bool = False
     degree_reduced: bool = False
 
 
@@ -121,9 +114,7 @@ def fit_beta_polynomials(table: BetaTable, cfg: PredictionConfig) -> PolyModel:
         raise MetricError(f"beta regression needs >= 2 entries, got {n}")
     degree = min(cfg.degree, n - 1)
     speeds = table.speeds()
-    s = speeds.copy()
-    if cfg.normalize_speed:
-        s = (s - speeds.min()) / (speeds.max() - speeds.min())
+    s = (speeds - speeds.min()) / (speeds.max() - speeds.min())
     betas = table.betas()
     coeffs = tuple(
         tuple(float(c) for c in np.polynomial.polynomial.polyfit(s, betas[:, j], degree))
@@ -133,38 +124,30 @@ def fit_beta_polynomials(table: BetaTable, cfg: PredictionConfig) -> PolyModel:
         coeffs=coeffs,
         speed_min=float(speeds.min()),
         speed_max=float(speeds.max()),
-        normalized=cfg.normalize_speed,
         degree=degree,
         degree_reduced=degree < cfg.degree,
     )
 
 
-def predict_beta(model: PolyModel, speed: float, cfg: PredictionConfig) -> tuple[BetaVector, RepairFlags]:
-    """Evaluate the polynomials at the target speed and repair constraints.
+def predict_beta(model: PolyModel, speed: float) -> tuple[BetaVector, RepairFlags]:
+    """Evaluate the polynomials at the target speed under the fit's validity rule.
 
-    Curvature is raised to cfg.enforce_cur_min and (optionally) the four
-    point coordinates are clamped to be non-negative; each clamp sets a
-    flag.  If the repaired vector still breaks a BetaVector invariant an
-    InvalidPredictionError carrying the raw values is raised.
+    Curvature below CUR_MIN, the fit box's lower bound, is raised to it and
+    flagged cur_clamped; the point coordinates are taken as they are.  If
+    the vector then breaks a BetaVector invariant an InvalidPredictionError
+    carrying the raw values is raised.
     """
     raw = model.evaluate_raw(speed).ravel()
     vals = raw.copy()
-    cur_clamped = False
-    nonneg_clamped = False
-    if vals[4] < cfg.enforce_cur_min:
-        vals[4] = cfg.enforce_cur_min
-        cur_clamped = True
-    if cfg.enforce_nonneg:
-        for j in range(4):
-            if vals[j] < 0.0:
-                vals[j] = 0.0
-                nonneg_clamped = True
+    cur_clamped = bool(vals[4] < CUR_MIN)
+    if cur_clamped:
+        vals[4] = CUR_MIN
     if _invariant_violation(vals) >= 0.0:
         raise InvalidPredictionError(
             f"predicted beta at speed {speed} violates ordering invariants",
             raw_values=tuple(float(v) for v in raw))
     beta = BetaVector.from_array(vals)
-    return beta, RepairFlags(cur_clamped, nonneg_clamped, model.degree_reduced)
+    return beta, RepairFlags(cur_clamped, model.degree_reduced)
 
 
 def classify(target_speed: float, remaining_speeds) -> PredictionKind:
@@ -245,7 +228,7 @@ def _holdout_report(target: Speedline, rest, pred_cfg: PredictionConfig) -> Pred
     failed_fits = len(rest) - len(fitted)
     try:
         model = fit_beta_polynomials(fit_table(fitted), pred_cfg)
-        beta, repair = predict_beta(model, target.speed, pred_cfg)
+        beta, repair = predict_beta(model, target.speed)
     except CpmFitError as exc:
         return PredictionReport(
             target_speed=target.speed, kind=kind, status="failed",

@@ -3,11 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import least_squares, minimize_scalar
 
-from cpmfit import BetaVector, CompressorMap, OperatingPoint, Speedline, sample_curve
-from cpmfit.metrics import GRID_SIZE
-from cpmfit.model import _curve_xy_raw, curve_xy
+from cpmfit import (
+    BetaVector,
+    CompressorMap,
+    OperatingPoint,
+    Speedline,
+    default_bounds,
+    sample_curve,
+)
+from cpmfit.metrics import GRID_SIZE, _ortho_d2_batch
+from cpmfit.model import _curve_xy_raw, _points_to_xy, curve_xy
 
 GOLDEN_TOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -41,6 +48,35 @@ def brute_force_nearest_d2(beta, point, n=100_000, refine=True):
                                   method="bounded", options={"xatol": 1e-12})
             best = min(best, float(res.fun))
     return min(best, float(d2[0]), float(d2[-1]))
+
+
+def least_squares_ortho(points):
+    """Independent optimality oracle: the ortho objective scipy's trust-region solver reaches.
+
+    Trust-region reflective (Branch, Coleman & Li 1999) inside the fit's
+    default_bounds, scaled by the box span, from the box midpoint with
+    cur = 2.  The residuals are the orthogonal distances from the library
+    projection, which the projection oracle judges; the Jacobian is a
+    forward difference of all five columns in one batched call, stepping
+    backward where a forward step would leave the box.
+    """
+    m, pi = _points_to_xy(points)
+    box = default_bounds(points)
+
+    def residuals(x):
+        return np.sqrt(_ortho_d2_batch(x[None, :], m, pi)[0])
+
+    def jacobian(x):
+        h = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
+        h = np.where(x + h > box.upper, -h, h)
+        r = np.sqrt(_ortho_d2_batch(np.vstack([x, x + np.diag(h)]), m, pi))
+        return ((r[1:] - r[0]) / h[:, None]).T
+
+    x0 = 0.5 * (box.lower + box.upper)
+    x0[4] = 2.0
+    sol = least_squares(residuals, x0, jac=jacobian, bounds=(box.lower, box.upper),
+                        method="trf", x_scale=box.span(), xtol=1e-12, ftol=1e-14, gtol=1e-14)
+    return float(np.sum(sol.fun ** 2))
 
 
 def golden_nearest_d2(bmat, m, pi):
@@ -137,13 +173,17 @@ def quarter_circle():
     return BetaVector(0.0, 1.0, 1.0, 0.0, 2.0)
 
 
+# The 7-line map of default_poly_map: speeds and per-component laws.
+POLY_MAP_SPEEDS = (250, 300, 350, 400, 450, 500, 550)
+POLY_MAP_COEFFS = {
+    0: (0.10, 0.10),               # m_zs: linear in normalized speed
+    1: (2.0, 0.8, -0.2),           # pi_zs: quadratic
+    2: (0.95, 0.25),               # m_ch
+    3: (1.1, 0.3, 0.1),            # pi_ch
+    4: (3.0, 0.5),                 # cur
+}
+
+
 @pytest.fixture
 def default_poly_map():
-    coeffs = {
-        0: (0.10, 0.10),               # m_zs: linear in normalized speed
-        1: (2.0, 0.8, -0.2),           # pi_zs: quadratic
-        2: (0.95, 0.25),               # m_ch
-        3: (1.1, 0.3, 0.1),            # pi_ch
-        4: (3.0, 0.5),                 # cur
-    }
-    return polynomial_beta_map([250, 300, 350, 400, 450, 500, 550], coeffs)
+    return polynomial_beta_map(POLY_MAP_SPEEDS, POLY_MAP_COEFFS)

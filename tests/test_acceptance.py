@@ -16,6 +16,7 @@ import scipy.linalg
 
 from conftest import (
     brute_force_nearest_d2,
+    least_squares_ortho,
     polynomial_beta_map,
     random_beta,
     speedline_from_beta,
@@ -73,23 +74,30 @@ class TestRoundTripFitting:
                 f"{successes}/100 recovered in {elapsed:.0f}s")
 
 
+@pytest.fixture(scope="module")
+def noisy_panel():
+    """50 noisy 20-point lines (sigma = 0.02), each with its DE-initialized
+    and its local-only fit: (line, de_result, none_result)."""
+    rng = np.random.default_rng(2024)
+    cfg_kwargs = dict(local_max_iters=100)
+    panel = []
+    for i in range(50):
+        beta = random_beta(rng)
+        line = speedline_from_beta(beta, 20, 300.0, noise=0.02, rng=rng)
+        r_de = fit_speedline(line, FitConfig(
+            seed=i, init_strategy=InitStrategy.DE, **cfg_kwargs))
+        r_none = fit_speedline(line, FitConfig(
+            seed=i, init_strategy=InitStrategy.NONE, **cfg_kwargs))
+        panel.append((line, r_de, r_none))
+    return panel
+
+
 class TestGlobalInitBenefit:
-    def test_de_init_beats_local_only(self):
+    def test_de_init_beats_local_only(self, noisy_panel):
         """Noisy suite (sigma = 0.02): DE-initialized fits dominate
         local-only fits in median and maximum, maximum improved >= 30%."""
-        rng = np.random.default_rng(2024)
-        cfg_kwargs = dict(local_max_iters=100)
-        de_objs, none_objs = [], []
-        for i in range(50):
-            beta = random_beta(rng)
-            line = speedline_from_beta(beta, 20, 300.0, noise=0.02, rng=rng)
-            r_de = fit_speedline(line, FitConfig(
-                seed=i, init_strategy=InitStrategy.DE, **cfg_kwargs))
-            r_none = fit_speedline(line, FitConfig(
-                seed=i, init_strategy=InitStrategy.NONE, **cfg_kwargs))
-            de_objs.append(r_de.objective)
-            none_objs.append(r_none.objective)
-        de_objs, none_objs = np.array(de_objs), np.array(none_objs)
+        de_objs = np.array([r_de.objective for _, r_de, _ in noisy_panel])
+        none_objs = np.array([r_none.objective for _, _, r_none in noisy_panel])
         assert np.median(de_objs) <= np.median(none_objs)
         assert de_objs.max() <= none_objs.max()
         improvement = 1.0 - de_objs.max() / none_objs.max()
@@ -97,6 +105,28 @@ class TestGlobalInitBenefit:
         _report("global-init benefit",
                 f"max objective improved {improvement:.0%} "
                 f"(median {np.median(de_objs):.2e} vs {np.median(none_objs):.2e})")
+
+
+class TestNoisyFitOracle:
+    def test_fits_reach_least_squares_oracle(self, noisy_panel):
+        """Noisy fits have no known truth; scipy's trust-region solver is
+        their judge.  The DE fits of the 50-line panel, and default fits of
+        30 lines with cur 1.2-15 (12 points, 5% trim, sigma = 0.01), end no
+        more than 1e-6 (relative) above the oracle's objective.  The bound
+        is one-sided: a start that trapped the oracle only loosens it."""
+        rng = np.random.default_rng(7)
+        pairs = [(line, r_de.objective) for line, r_de, _ in noisy_panel]
+        for i in range(30):
+            beta = random_beta(rng, cur_range=(1.2, 15.0))
+            line = speedline_from_beta(beta, 12, 300.0, noise=0.01, rng=rng, trim=0.05)
+            pairs.append((line, fit_speedline(line, FitConfig(seed=i)).objective))
+        worst = 0.0
+        for line, fitted in pairs:
+            oracle = least_squares_ortho(line.points)
+            worst = max(worst, fitted / oracle - 1.0)
+            assert fitted <= oracle * (1.0 + 1e-6)
+        _report("noisy-fit oracle",
+                f"{len(pairs)} lines, worst excess over the oracle {worst:.1e}")
 
 
 class TestProjectionOracle:

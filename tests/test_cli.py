@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from conftest import polynomial_beta_map
+from conftest import POLY_MAP_COEFFS, POLY_MAP_SPEEDS, polynomial_beta_map
 from cpmfit.cli import main
 from cpmfit.predict import _line_seed
 
@@ -30,7 +30,10 @@ FAST_CONFIG = {
 
 
 def write_map_csv(path, speeds=(300, 400, 500), n_points=8):
-    cpm = polynomial_beta_map(speeds, LAWS, n_points=n_points)
+    return write_cpm_csv(path, polynomial_beta_map(speeds, LAWS, n_points=n_points))
+
+
+def write_cpm_csv(path, cpm):
     rows = ["speed,m_dot,pi"]
     for sl in cpm.speedlines:
         for p in sl.points:
@@ -192,6 +195,26 @@ class TestCrossval:
         poly = read_csv(out / "beta_poly.csv")
         assert len(poly) == 101  # header + 100 samples
 
+    @pytest.mark.parametrize("cur_law", [POLY_MAP_COEFFS[4], (1.5, 0.3)],
+                             ids=["cur_3_to_3.5", "cur_1.5_to_1.8"])
+    def test_interior_exactness(self, tmp_path, cur_law):
+        # The library's test_loo_interior_exactness bound, through the CLI's
+        # min-max normalization: interior RMSE < 1e-4 in raw pi units.  A
+        # prediction is held to the rule its fits obey, so neither the
+        # normalized surge point (m_zs < 0) nor cur below 2 is repaired.
+        cpm = polynomial_beta_map(POLY_MAP_SPEEDS, {**POLY_MAP_COEFFS, 4: cur_law})
+        pi = [p.pi for sl in cpm.speedlines for p in sl.points]
+        out = tmp_path / "out"
+        rc = main(["crossval", str(write_cpm_csv(tmp_path / "map.csv", cpm)),
+                   "--out", str(out), "--seed", "1"])
+        assert rc == 0
+        interior = [r for r in json.loads((out / "report.json").read_text())
+                    if r["kind"] == "INTERPOLATION"]
+        assert len(interior) == 5
+        for r in interior:
+            assert r["status"] == "OK"
+            assert r["rmse_mean"] < 1e-4 / (max(pi) - min(pi))
+
     def test_determinism(self, tmp_path, map_csv, config_file):
         outs = []
         for name in ("a", "b"):
@@ -306,8 +329,7 @@ BAD_CONFIGS = {
     "unfittable_metric": ({"metric": "residual_sd"}, []),
     "unknown_key": ({"de_max_iter": 50}, []),
     "non_integer_degree": ({"degree": 2.5}, []),
-    "config_bool_spelling": ({"normalize_speed": "maybe"}, []),
-    "flag_bool_spelling": ({}, ["--normalize-speed", "maybe"]),
+    "config_bool_spelling": ({"normalize": "maybe"}, []),
     "nonpositive_repeats": ({"repeats": 0}, []),
 }
 
@@ -348,7 +370,7 @@ class TestConfigErrors:
 
     def test_config_keys_match_flags(self, tmp_path, map_csv):
         options = {"metric": "rmse", "init": "none", "solver": "qn", "mode": "massflow",
-                   "degree": 1, "normalize_speed": "false"}
+                   "degree": 1}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(FAST_CONFIG, **options)))
         plain = tmp_path / "plain"

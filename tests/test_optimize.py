@@ -293,6 +293,11 @@ class TestFitSpeedline:
         with pytest.raises(DegenerateInputError):
             fit_speedline(Speedline(100.0, pts), FitConfig(seed=0))
 
+    def test_residual_sd_is_not_fittable(self):
+        # Its loss is flat along a common shift of pi_zs and pi_ch.
+        with pytest.raises(ValueError, match="residual_sd"):
+            FitConfig(metric=MetricKind.RESIDUAL_SD)
+
     def test_determinism(self):
         beta = BetaVector(0.2, 2.0, 1.0, 1.1, 2.5)
         line = speedline_from_beta(beta, 12, 350.0)

@@ -11,6 +11,7 @@ from cpmfit import (
     InvalidPredictionError,
     MetricError,
     MetricKind,
+    PolyModel,
     PredictionConfig,
     PredictionKind,
     aggregate_reports,
@@ -21,6 +22,7 @@ from cpmfit import (
     loo_crossval,
     predict_beta,
 )
+from cpmfit.model import CUR_MIN
 from cpmfit.predict import _line_seed
 
 FAST_FIT = FitConfig(de_max_iters=300, seed=0)
@@ -103,19 +105,25 @@ class TestPredictBeta:
         cfg = PredictionConfig(degree=4)
         model = fit_beta_polynomials(t, cfg)
         for speed, beta, _ in t.entries:
-            got, flags = predict_beta(model, speed, cfg)
+            got, flags = predict_beta(model, speed)
             np.testing.assert_allclose(got.as_array(), beta.as_array(), atol=1e-9)
-            assert not flags.cur_clamped and not flags.nonneg_clamped
+            assert not flags.cur_clamped
 
     def test_cur_clamped_flag(self):
-        laws = dict(LAWS)
-        laws[4] = (1.2,)  # constant curvature below the enforcement floor
-        t = table_from_laws([250, 300, 350], laws)
-        cfg = PredictionConfig(degree=2)
-        model = fit_beta_polynomials(t, cfg)
-        beta, flags = predict_beta(model, 325.0, cfg)
-        assert beta.cur == 2.0
+        # Constant curvature 1.0, below the fit box's floor: raised to it.
+        model = PolyModel(((0.1,), (2.0,), (1.0,), (1.1,), (1.0,)), speed_min=250.0,
+                          speed_max=350.0, degree=0, degree_reduced=False)
+        beta, flags = predict_beta(model, 325.0)
+        assert beta.cur == CUR_MIN
         assert flags.cur_clamped
+        # Curvature 1.2 is one a fit can return, so it passes through.
+        laws = dict(LAWS)
+        laws[4] = (1.2,)
+        model = fit_beta_polynomials(table_from_laws([250, 300, 350], laws),
+                                     PredictionConfig(degree=2))
+        beta, flags = predict_beta(model, 325.0)
+        assert beta.cur == pytest.approx(1.2)
+        assert not flags.cur_clamped
 
     def test_ordering_violation_raises_with_raw_values(self):
         laws = dict(LAWS)
@@ -124,19 +132,9 @@ class TestPredictBeta:
         cfg = PredictionConfig(degree=1)
         model = fit_beta_polynomials(t, cfg)
         with pytest.raises(InvalidPredictionError) as exc:
-            predict_beta(model, 700.0, cfg)
+            predict_beta(model, 700.0)
         assert exc.value.raw_values is not None
         assert len(exc.value.raw_values) == 5
-
-    def test_cur_below_floor_after_repair_raises_with_raw_values(self):
-        # A repair floor under CUR_MIN leaves the extrapolated cur = 1.0 as is;
-        # that breaks the BetaVector invariants like a bad ordering does.
-        t = BetaTable(((300.0, BetaVector(0.1, 2.0, 1.0, 1.1, 1.6), None),
-                       (400.0, BetaVector(0.1, 2.0, 1.0, 1.1, 1.3), None)))
-        cfg = PredictionConfig(degree=1, enforce_cur_min=0.5)
-        with pytest.raises(InvalidPredictionError) as exc:
-            predict_beta(fit_beta_polynomials(t, cfg), 500.0, cfg)
-        assert exc.value.raw_values[4] == pytest.approx(1.0)
 
 
 class TestClassify:
